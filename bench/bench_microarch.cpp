@@ -65,20 +65,21 @@ void BM_CycleEngineConvLayer(benchmark::State& state) {
   for (std::size_t i = 0; i < filters.size(); ++i)
     if (rng.next_double() < 0.4)
       filters.data()[i] = static_cast<std::int8_t>(rng.next_int(1, 20));
-  const pack::PackedFilters packed = pack::pack_filters(filters);
-  const std::vector<std::int32_t> bias(16, 0);
+  core::ArchConfig cfg = core::ArchConfig::k256_opt();
+  cfg.bank_words = 8192;
+  const driver::ConvProgram conv =
+      driver::compile_conv(cfg, in, pack::pack_filters(filters),
+                           std::vector<std::int32_t>(16, 0),
+                           nn::Requant{.shift = 6, .relu = true});
 
   std::uint64_t cycles = 0;
   for (auto _ : state) {
-    core::ArchConfig cfg = core::ArchConfig::k256_opt();
-    cfg.bank_words = 8192;
     core::Accelerator acc(cfg);
     sim::Dram dram(16u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
     driver::LayerRun run;
-    auto out = runtime.run_conv(pack::to_tiled(input), packed, bias,
-                                nn::Requant{.shift = 6, .relu = true}, run);
+    auto out = runtime.run_conv(pack::to_tiled(input), conv, run);
     benchmark::DoNotOptimize(out);
     cycles += run.cycles;
   }

@@ -11,12 +11,13 @@
 // requests that can still make their deadline.
 //
 // Methodology: per offered-load point, each policy gets a fresh Server over
-// the same compiled NetworkProgram and an identical deterministic workload
-// (same seed ⇒ same Poisson arrival schedule and same inputs).  Per-image
-// service time is calibrated on a warm runtime first; rates and the deadline
-// are expressed in multiples of it, so the sweep lands in the same regimes
-// on any host.  Latency percentiles come from the responses themselves
-// (LoadReport), measured over executed requests — late executions count.
+// the same registry-compiled NetworkProgram and an identical deterministic
+// workload (same seed ⇒ same Poisson arrival schedule and same inputs).
+// Per-image service time is calibrated on a warm runtime first; rates and
+// the deadline are expressed in multiples of it, so the sweep lands in the
+// same regimes on any host.  Latency percentiles come from the responses
+// themselves (LoadReport), measured over executed requests — late
+// executions count.
 //
 // Second experiment: SLO classes over the socket front-end.  Two TCP
 // clients share one server — a high-priority class offered a fixed 0.4x
@@ -150,7 +151,7 @@ serve::ServerOptions make_options(bool batched) {
   return opts;
 }
 
-Row run_point(const driver::NetworkProgram& program, bool batched,
+Row run_point(driver::ProgramRegistry& registry, bool batched,
               double offered_x, double capacity_rps, double window_s,
               std::int64_t deadline_us, std::int64_t batch_delay_us,
               std::int64_t min_slack_us) {
@@ -159,7 +160,7 @@ Row run_point(const driver::NetworkProgram& program, bool batched,
     opts.batch.max_queue_delay_us = batch_delay_us;
     opts.batch.min_slack_us = min_slack_us;
   }
-  serve::Server server(program, opts);
+  serve::Server server(registry, "vgg", opts);
 
   serve::LoadOptions load;
   load.rate_rps = offered_x * capacity_rps;
@@ -235,13 +236,13 @@ struct MixedPoint {
 // mixed experiment's offered-load multiples: "3x" should mean three times
 // what this path can actually sustain, not three times an idealized
 // runtime-only number that already starves the CPU at "1x".
-double calibrate_socket_capacity_rps(const driver::NetworkProgram& program,
+double calibrate_socket_capacity_rps(driver::ProgramRegistry& registry,
                                      std::int64_t batch_delay_us,
                                      std::int64_t min_slack_us) {
   serve::ServerOptions opts = make_options(true);
   opts.batch.max_queue_delay_us = batch_delay_us;
   opts.batch.min_slack_us = min_slack_us;
-  serve::Server server(program, opts);
+  serve::Server server(registry, "vgg", opts);
   serve::NetServer net(server);
   serve::NetClient client("127.0.0.1", net.port());
   serve::LoadOptions load;
@@ -249,7 +250,7 @@ double calibrate_socket_capacity_rps(const driver::NetworkProgram& program,
   load.concurrency = 2 * kWorkers;
   load.seed = 5;
   const serve::LoadReport r =
-      serve::run_load(client, program.net().input_shape(), load);
+      serve::run_load(client, server.program().net().input_shape(), load);
   client.close();
   net.stop();
   server.stop();
@@ -261,7 +262,7 @@ double calibrate_socket_capacity_rps(const driver::NetworkProgram& program,
 // their own TCP connections to one NetServer.  All timing knobs (deadline,
 // batching window, feasibility horizon) come in pre-scaled to the socket
 // path's per-image service time.
-MixedPoint run_mixed_point(const driver::NetworkProgram& program,
+MixedPoint run_mixed_point(driver::ProgramRegistry& registry,
                            double total_x, double capacity_rps,
                            double window_s, std::int64_t deadline_us,
                            std::int64_t batch_delay_us,
@@ -269,11 +270,11 @@ MixedPoint run_mixed_point(const driver::NetworkProgram& program,
   serve::ServerOptions opts = make_options(true);
   opts.batch.max_queue_delay_us = batch_delay_us;
   opts.batch.min_slack_us = min_slack_us;
-  serve::Server server(program, opts);
+  serve::Server server(registry, "vgg", opts);
   serve::NetServer net(server);
   serve::NetClient high_client("127.0.0.1", net.port());
   serve::NetClient low_client("127.0.0.1", net.port());
-  const nn::FmShape shape = program.net().input_shape();
+  const nn::FmShape shape = server.program().net().input_shape();
 
   const auto make_load = [&](double x, int priority, std::uint64_t seed) {
     serve::LoadOptions load;
@@ -452,10 +453,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
 
   const Workload w = make_workload();
-  const driver::NetworkProgram program =
-      driver::NetworkProgram::compile(w.net, w.model, core::ArchConfig::k256_opt());
+  driver::ProgramRegistry registry(core::ArchConfig::k256_opt());
+  registry.add_model("vgg", w.net, w.model);
 
-  const std::int64_t exec_us = calibrate_exec_us(program);
+  const std::int64_t exec_us =
+      calibrate_exec_us(registry.acquire("vgg").program());
   // Serving capacity if every cycle went to useful work: workers images per
   // service time.  The sweep is expressed relative to it.
   const double capacity_rps =
@@ -483,7 +485,7 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const double x : offered) {
     for (const bool batched : {false, true}) {
-      rows.push_back(run_point(program, batched, x, capacity_rps, window_s,
+      rows.push_back(run_point(registry, batched, x, capacity_rps, window_s,
                                deadline_us, batch_delay_us, min_slack_us));
       print_row(rows.back());
     }
@@ -502,7 +504,7 @@ int main(int argc, char** argv) {
   // offered load at 1x and 3x total, with every knob rescaled to the
   // socket path's measured capacity and per-image service time.
   const double socket_capacity_rps =
-      calibrate_socket_capacity_rps(program, batch_delay_us, min_slack_us);
+      calibrate_socket_capacity_rps(registry, batch_delay_us, min_slack_us);
   const std::int64_t sock_t_us = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(static_cast<double>(kWorkers) * 1e6 /
                                    socket_capacity_rps));
@@ -517,7 +519,7 @@ int main(int argc, char** argv) {
               kHighShareX, static_cast<long long>(mixed_deadline_us));
   std::vector<MixedPoint> mixed;
   for (const double total_x : {1.0, 3.0}) {
-    mixed.push_back(run_mixed_point(program, total_x, socket_capacity_rps,
+    mixed.push_back(run_mixed_point(registry, total_x, socket_capacity_rps,
                                     window_s, mixed_deadline_us,
                                     mixed_delay_us, mixed_slack_us));
     print_class_row(total_x, mixed.back().high);
@@ -555,8 +557,6 @@ int main(int argc, char** argv) {
   // the MobileNet-style net has its own service time, so the multiples are
   // nominal for that stream; the gate is behavioral (progress + restage),
   // not a latency bar.
-  driver::ProgramRegistry registry(core::ArchConfig::k256_opt());
-  registry.add_model("vgg", w.net, w.model);
   const zoo::ZooModel mobile_zoo = zoo::make_mobile_depthwise(11);
   registry.add_model("mobile", mobile_zoo.net, mobile_zoo.model);
   std::printf("multi-model over socket: vgg + mobile behind one registry, "

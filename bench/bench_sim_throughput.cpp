@@ -2,10 +2,11 @@
 //
 // Two parallelism axes, both on the channel-scaled VGG-16 in cycle mode:
 //
-//   serve   — whole-network requests fan out one-per-context (the paper's
-//             throughput serving scenario); reports images/sec.
+//   serve   — whole-network requests through a registry-mode serve::Server
+//             with N workers, one image per batch (the paper's throughput
+//             serving scenario); reports images/sec.
 //   stripes — a single network pass with small banks, so each layer's
-//             stripe loop fans out over the workers.
+//             stripe loop fans out over a PoolRuntime's workers.
 //   fast    — the SIMD functional fast path, three ways: (1) vs the cycle
 //             engine (bit-identical logits, ≥5× p50); (2) a backend matrix —
 //             warm single-worker serving under every runtime-dispatched
@@ -15,7 +16,7 @@
 //             single-image fast path by ≥3× p50 on an AVX2-capable host.
 //
 // Every configuration must simulate the exact same cycles and produce the
-// exact same logits as the serial runtime — the pool buys wall-clock only.
+// exact same logits as the serial runtime — workers buy wall-clock only.
 // Emits BENCH_sim_throughput.json into the working directory (run it from
 // the repo root; the JSON is tracked there so the perf trajectory survives
 // across PRs).  With --fast, runs only the fast-path sections.
@@ -24,18 +25,21 @@
 // host-capacity artifact, not simulator contention, whenever `host_cpus`
 // is smaller than the worker count — the worker threads time-share the
 // available cores, so extra workers only add scheduling/coordination
-// overhead, and per-request `request_wall_us` p50 inflates with queue
-// depth because all 16 images are dispatched at once and each request's
-// wall clock includes its wait for a core.  The JSON records the verdict
-// in `serve_scaling.verdict` ("host-capacity artifact" on starved hosts,
-// "contention" only when >= 4 real cores fail to reach 2x), and the exit
-// gate below only enforces the speedup when the host can express one.
+// overhead, and per-request `request_wall_us` p50 (each response's server
+// latency, exact nearest-rank) inflates with queue depth because all 16
+// images are submitted at once and each request waits for a worker.  The
+// JSON records the verdict in `serve_scaling.verdict` ("host-capacity
+// artifact" on starved hosts, "contention" only when >= 4 real cores fail
+// to reach 2x), and the exit gate below only enforces the speedup when the
+// host can express one.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -47,6 +51,7 @@
 #include "driver/compile_cache.hpp"
 #include "driver/pool_runtime.hpp"
 #include "driver/program.hpp"
+#include "driver/program_registry.hpp"
 #include "driver/runtime.hpp"
 #include "nn/vgg16.hpp"
 #include "obs/alloc_count.hpp"
@@ -65,10 +70,17 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::uint64_t total_cycles(const driver::NetworkRun& run) {
+std::uint64_t total_cycles(const std::vector<driver::LayerRun>& layers) {
   std::uint64_t total = 0;
-  for (const driver::LayerRun& layer : run.layers) total += layer.cycles;
+  for (const driver::LayerRun& layer : layers) total += layer.cycles;
   return total;
+}
+
+// Exact nearest-rank percentile (q in (0, 1]) of the measured values.
+double nearest_rank(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const auto rank = static_cast<std::size_t>(std::ceil(q * v.size()));
+  return v[rank == 0 ? 0 : rank - 1];
 }
 
 struct Workload {
@@ -103,10 +115,10 @@ struct Measurement {
   double wall_s = 0.0;
   std::uint64_t sim_cycles = 0;
   double units = 0.0;  // images (serve) or 1 (stripes)
-  // Per-request serve latency from the PoolRuntime metrics registry.
-  std::int64_t lat_p50_us = 0;
-  std::int64_t lat_p95_us = 0;
-  std::int64_t lat_max_us = 0;
+  // Per-request server latency (Response::latency), exact nearest-rank.
+  double lat_p50_us = 0.0;
+  double lat_p95_us = 0.0;
+  double lat_max_us = 0.0;
 };
 
 // Host CPU feature flags relevant to the dispatch decision, as one
@@ -155,36 +167,32 @@ struct FastSection {
   bool ok = false;
 };
 
-FastSection run_fast_section(const Workload& w,
-                             const core::ArchConfig& cfg,
-                             const std::vector<driver::NetworkRun>* reference) {
+FastSection run_fast_section(
+    const Workload& w, const driver::NetworkProgram& program,
+    const std::vector<std::vector<std::int8_t>>* reference) {
   FastSection f;
-  const driver::NetworkProgram program =
-      driver::NetworkProgram::compile(w.net, w.model, cfg);
+  const core::ArchConfig& cfg = program.config();
 
   const std::string entry_backend = core::simd::backend_name();
   f.ok = true;
 
-  // Warm serving under one runtime, timed directly: the per-request serve
-  // histogram's log-scale buckets are too coarse to separate kernel
-  // backends.  Each measurement serves the whole request set `reps` times;
-  // p50 is the median per-image wall time, p99 the worst rep.
+  // Warm serving on one Runtime, every run_network call timed: p50/p99 are
+  // exact nearest-rank values over the `reps` passes of the request set.
   auto time_serve = [&](driver::ExecMode mode, int reps,
                         double& p50_us, double& p99_us) {
-    driver::AcceleratorPool pool(cfg, {.workers = 1});
-    driver::PoolRuntime runtime(pool, {.mode = mode});
-    runtime.serve(program, {w.inputs.front()});  // warm-up, stages weights
-    std::vector<driver::NetworkRun> runs;
-    std::vector<double> per_image_us;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      runs = runtime.serve(program, w.inputs);
-      per_image_us.push_back(seconds_since(t0) * 1e6 /
-                             static_cast<double>(w.inputs.size()));
-    }
-    std::sort(per_image_us.begin(), per_image_us.end());
-    p50_us = per_image_us[per_image_us.size() / 2];
-    p99_us = per_image_us.back();
+    driver::AcceleratorPool::Context ctx(cfg, 64u << 20);
+    driver::Runtime runtime(ctx.acc, ctx.dram, ctx.dma, {.mode = mode});
+    runtime.run_network(program, w.inputs.front());  // warm-up, stages weights
+    std::vector<driver::NetworkRun> runs(w.inputs.size());
+    std::vector<double> call_us;
+    for (int rep = 0; rep < reps; ++rep)
+      for (std::size_t i = 0; i < w.inputs.size(); ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        runs[i] = runtime.run_network(program, w.inputs[i]);
+        call_us.push_back(seconds_since(t0) * 1e6);
+      }
+    p50_us = nearest_rank(call_us, 0.50);
+    p99_us = nearest_rank(call_us, 0.99);
     return runs;
   };
 
@@ -192,7 +200,7 @@ FastSection run_fast_section(const Workload& w,
       time_serve(driver::ExecMode::kCycle, 2, f.cycle_p50_us, f.cycle_p99_us);
   if (reference != nullptr)
     for (std::size_t i = 0; i < cycle_runs.size(); ++i)
-      if (cycle_runs[i].logits != (*reference)[i].logits) {
+      if (cycle_runs[i].logits != (*reference)[i]) {
         std::fprintf(stderr,
                      "FAIL: fast-section cycle serve diverged on image %zu\n",
                      i);
@@ -248,9 +256,10 @@ FastSection run_fast_section(const Workload& w,
   f.combined_lanes = std::min<int>(driver::Runtime::kFastBatchLanes,
                                    static_cast<int>(w.inputs.size()));
   {
-    driver::AcceleratorPool serial_pool(cfg, {.workers = 1});
-    driver::PoolRuntime serial_runtime(serial_pool,
-                                       {.mode = driver::ExecMode::kFast});
+    driver::AcceleratorPool::Context serial_ctx(cfg, 64u << 20);
+    driver::Runtime serial_runtime(serial_ctx.acc, serial_ctx.dram,
+                                   serial_ctx.dma,
+                                   {.mode = driver::ExecMode::kFast});
     driver::AcceleratorPool pool(cfg, {.workers = f.combined_workers});
     driver::PoolRuntime runtime(pool, {.mode = driver::ExecMode::kFast});
     runtime.ensure_program_staged(program);
@@ -259,7 +268,7 @@ FastSection run_fast_section(const Workload& w,
     // thermal drift land on both sides of the widen ratio instead of
     // whichever block ran later.  The gate compares the two medians.
     core::simd::select_backend("sse2");
-    serial_runtime.serve(program, {w.inputs.front()});  // warm-up + staging
+    serial_runtime.run_network(program, w.inputs.front());  // warm-up
     core::simd::select_backend(entry_backend.c_str());
     driver::BatchNetworkRun batch =
         runtime.run_network_batch(program, w.inputs);  // warm-up
@@ -268,7 +277,8 @@ FastSection run_fast_section(const Workload& w,
     for (int rep = 0; rep < 9; ++rep) {
       core::simd::select_backend("sse2");
       auto t0 = std::chrono::steady_clock::now();
-      serial_runtime.serve(program, w.inputs);
+      for (const nn::FeatureMapI8& input : w.inputs)
+        serial_runtime.run_network(program, input);
       serial_us.push_back(seconds_since(t0) * 1e6 /
                           static_cast<double>(w.inputs.size()));
       core::simd::select_backend(entry_backend.c_str());
@@ -359,13 +369,17 @@ int main(int argc, char** argv) {
   if (cpus < 4)
     std::printf("NOTE: fewer than 4 CPUs; worker threads time-share one "
                 "core, so wall-clock speedup cannot appear here.\n");
+  const core::ArchConfig serve_cfg = core::ArchConfig::k256_opt();
+  auto t0 = std::chrono::steady_clock::now();
+  const driver::NetworkProgram program =
+      driver::NetworkProgram::compile(w.net, w.model, serve_cfg);
+  const double compile_ms = seconds_since(t0) * 1e3;
 
   if (fast_only) {
     std::printf("fast: warm serve latency, fast path vs cycle engine "
                 "(1 worker, %d requests)\n",
                 kImages);
-    const FastSection f =
-        run_fast_section(w, core::ArchConfig::k256_opt(), nullptr);
+    const FastSection f = run_fast_section(w, program, nullptr);
     FILE* out = std::fopen("BENCH_sim_throughput.json", "w");
     if (out == nullptr) {
       std::fprintf(stderr, "FAIL: cannot write BENCH_sim_throughput.json\n");
@@ -391,62 +405,70 @@ int main(int argc, char** argv) {
 
   // --- serve: whole-network request parallelism -------------------------
   std::printf("serve: %d scaled-VGG-16 requests, cycle mode\n", kImages);
-  const core::ArchConfig serve_cfg = core::ArchConfig::k256_opt();
 
-  // The serial server: one context constructed up front (outside the timed
-  // region, like the pool's contexts), a fresh Runtime per request — the
-  // exact semantics serve() has per worker.
-  core::Accelerator serial_acc(serve_cfg);
-  sim::Dram serial_dram(64u << 20);
-  sim::DmaEngine serial_dma(serial_dram);
-  std::vector<driver::NetworkRun> reference;
-  auto t0 = std::chrono::steady_clock::now();
+  // The serial reference: one warm runtime executing each request as the
+  // batch of one a max_batch-1 Server worker runs.
+  driver::AcceleratorPool::Context serial_ctx(serve_cfg, 64u << 20);
+  driver::Runtime serial(serial_ctx.acc, serial_ctx.dram, serial_ctx.dma,
+                         options);
+  std::vector<std::vector<std::int8_t>> reference;
+  std::vector<std::uint64_t> reference_cycles;
+  t0 = std::chrono::steady_clock::now();
   for (const nn::FeatureMapI8& input : w.inputs) {
-    driver::Runtime runtime(serial_acc, serial_dram, serial_dma, options);
-    reference.push_back(runtime.run_network(w.net, w.model, input));
+    driver::BatchNetworkRun run = serial.run_network_batch(program, {input});
+    reference.push_back(std::move(run.requests.front().logits));
+    reference_cycles.push_back(total_cycles(run.layers));
   }
   const double serial_serve_s = seconds_since(t0);
   std::uint64_t serve_cycles = 0;
-  for (const driver::NetworkRun& run : reference)
-    serve_cycles += total_cycles(run);
+  for (const std::uint64_t c : reference_cycles) serve_cycles += c;
   std::printf("  %-10s %8.2f s %10.2f img/s %12.0f cyc/s\n", "serial",
               serial_serve_s, kImages / serial_serve_s,
               static_cast<double>(serve_cycles) / serial_serve_s);
 
+  driver::ProgramRegistry registry(serve_cfg);
+  registry.add_model("vgg", w.net, w.model);
   std::vector<Measurement> serve_rows;
   for (const int workers : kWorkers) {
     obs::MetricsRegistry metrics;
-    driver::RuntimeOptions pool_options = options;
-    pool_options.metrics = &metrics;
-    driver::AcceleratorPool pool(serve_cfg, {.workers = workers});
-    driver::PoolRuntime runtime(pool, pool_options);
+    serve::Server server(registry, "vgg",
+                         {.workers = workers,
+                          .batch = {.max_batch = 1},
+                          .mode = driver::ExecMode::kCycle,
+                          .metrics = &metrics});
+    std::vector<std::future<serve::Response>> futures;
     t0 = std::chrono::steady_clock::now();
-    const std::vector<driver::NetworkRun> runs =
-        runtime.serve(w.net, w.model, w.inputs);
-    const double wall = seconds_since(t0);
-    std::uint64_t cycles = 0;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      cycles += total_cycles(runs[i]);
-      if (runs[i].logits != reference[i].logits ||
-          total_cycles(runs[i]) != total_cycles(reference[i])) {
+    for (const nn::FeatureMapI8& input : w.inputs)
+      futures.push_back(server.submit(input));
+    std::vector<double> latency_us;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const serve::Response r = futures[i].get();
+      if (r.status != serve::Status::kOk || r.logits != reference[i]) {
         std::fprintf(stderr, "FAIL: serve w=%d diverged on image %zu\n",
                      workers, i);
         return 1;
       }
+      latency_us.push_back(static_cast<double>(r.latency.total_us()));
+    }
+    const double wall = seconds_since(t0);
+    const auto cycles = static_cast<std::uint64_t>(
+        metrics.counter("runtime.accel_cycles").value());
+    if (cycles != serve_cycles) {
+      std::fprintf(stderr, "FAIL: serve w=%d simulated %llu cycles, serial "
+                   "%llu\n", workers, static_cast<unsigned long long>(cycles),
+                   static_cast<unsigned long long>(serve_cycles));
+      return 1;
     }
     Measurement m{workers, wall, cycles, double(kImages)};
-    const obs::HistogramSnapshot lat =
-        metrics.histogram("serve.request_wall_us").snapshot();
-    m.lat_p50_us = lat.p50;
-    m.lat_p95_us = lat.p95;
-    m.lat_max_us = lat.max;
+    m.lat_p50_us = nearest_rank(latency_us, 0.50);
+    m.lat_p95_us = nearest_rank(latency_us, 0.95);
+    m.lat_max_us = nearest_rank(latency_us, 1.0);
     serve_rows.push_back(m);
     std::printf("  workers=%-3d %8.2f s %10.2f img/s %12.0f cyc/s "
-                "(req p50=%lld us p95=%lld us)\n",
+                "(req p50=%.0f us p95=%.0f us)\n",
                 workers, wall, kImages / wall,
-                static_cast<double>(cycles) / wall,
-                static_cast<long long>(m.lat_p50_us),
-                static_cast<long long>(m.lat_p95_us));
+                static_cast<double>(cycles) / wall, m.lat_p50_us,
+                m.lat_p95_us);
   }
 
   // --- stripes: intra-layer stripe parallelism --------------------------
@@ -454,18 +476,18 @@ int main(int argc, char** argv) {
   core::ArchConfig stripe_cfg = core::ArchConfig::k256_opt();
   stripe_cfg.bank_words = 128;
 
-  core::Accelerator stripe_acc(stripe_cfg);
-  sim::Dram stripe_dram(64u << 20);
-  sim::DmaEngine stripe_dma(stripe_dram);
+  const driver::NetworkProgram stripe_program =
+      driver::NetworkProgram::compile(w.net, w.model, stripe_cfg);
+  driver::AcceleratorPool::Context stripe_ctx(stripe_cfg, 64u << 20);
+  driver::Runtime stripe_serial(stripe_ctx.acc, stripe_ctx.dram,
+                                stripe_ctx.dma, options);
   t0 = std::chrono::steady_clock::now();
-  driver::NetworkRun stripe_ref;
-  {
-    driver::Runtime runtime(stripe_acc, stripe_dram, stripe_dma, options);
-    stripe_ref = runtime.run_network(w.net, w.model, w.inputs.front());
-  }
+  const driver::NetworkRun stripe_ref =
+      stripe_serial.run_network(stripe_program, w.inputs.front());
   const double serial_stripe_s = seconds_since(t0);
+  const std::uint64_t stripe_cycles = total_cycles(stripe_ref.layers);
   std::printf("  %-10s %8.2f s %12.0f cyc/s\n", "serial", serial_stripe_s,
-              static_cast<double>(total_cycles(stripe_ref)) / serial_stripe_s);
+              static_cast<double>(stripe_cycles) / serial_stripe_s);
 
   std::vector<Measurement> stripe_rows;
   for (const int workers : kWorkers) {
@@ -473,17 +495,17 @@ int main(int argc, char** argv) {
     driver::PoolRuntime runtime(pool, options);
     t0 = std::chrono::steady_clock::now();
     const driver::NetworkRun run =
-        runtime.run_network(w.net, w.model, w.inputs.front());
+        runtime.run_network(stripe_program, w.inputs.front());
     const double wall = seconds_since(t0);
     if (run.logits != stripe_ref.logits ||
-        total_cycles(run) != total_cycles(stripe_ref)) {
+        total_cycles(run.layers) != stripe_cycles) {
       std::fprintf(stderr, "FAIL: stripes w=%d diverged from serial\n",
                    workers);
       return 1;
     }
-    stripe_rows.push_back({workers, wall, total_cycles(run), 1.0});
+    stripe_rows.push_back({workers, wall, stripe_cycles, 1.0});
     std::printf("  workers=%-3d %8.2f s %12.0f cyc/s\n", workers, wall,
-                static_cast<double>(total_cycles(run)) / wall);
+                static_cast<double>(stripe_cycles) / wall);
   }
 
   const double speedup4 = serve_rows.front().wall_s / serve_rows.back().wall_s;
@@ -503,49 +525,35 @@ int main(int argc, char** argv) {
   // --- fast path vs cycle engine ----------------------------------------
   std::printf("\nfast: warm serve latency, fast path vs cycle engine "
               "(1 worker)\n");
-  const FastSection fast = run_fast_section(w, serve_cfg, &reference);
+  const FastSection fast = run_fast_section(w, program, &reference);
 
   // --- compile/execute split: cold vs warm serve ------------------------
   // Cold = NetworkProgram::compile + the first (image-staging-included)
-  // request; warm = per-request latency once the program and its weight
+  // request on a fresh runtime; warm = per-request latency (exact
+  // nearest-rank over the timed calls) once the program and its weight
   // image are resident.  Warm must be strictly below cold: compilation left
   // the request path.
   std::printf("\ncompile/execute split: cold vs warm serve (1 worker)\n");
-  t0 = std::chrono::steady_clock::now();
-  const driver::NetworkProgram program =
-      driver::NetworkProgram::compile(w.net, w.model, serve_cfg);
-  const double compile_ms = seconds_since(t0) * 1e3;
-
-  obs::MetricsRegistry warm_metrics;
-  driver::RuntimeOptions warm_options = options;
-  warm_options.metrics = &warm_metrics;
-  driver::AcceleratorPool warm_pool(serve_cfg, {.workers = 1});
-  driver::PoolRuntime warm_runtime(warm_pool, warm_options);
-
-  t0 = std::chrono::steady_clock::now();
-  const std::vector<driver::NetworkRun> first =
-      warm_runtime.serve(program, {w.inputs.front()});
-  const double cold_first_ms = compile_ms + seconds_since(t0) * 1e3;
-  if (first.front().logits != reference.front().logits) {
-    std::fprintf(stderr, "FAIL: cold program serve diverged from serial\n");
-    return 1;
-  }
-
-  const std::vector<driver::NetworkRun> warm_runs =
-      warm_runtime.serve(program, w.inputs);
-  for (std::size_t i = 0; i < warm_runs.size(); ++i) {
-    if (warm_runs[i].logits != reference[i].logits ||
-        total_cycles(warm_runs[i]) != total_cycles(reference[i])) {
-      std::fprintf(stderr, "FAIL: warm program serve diverged on image %zu\n",
-                   i);
+  driver::AcceleratorPool::Context warm_ctx(serve_cfg, 64u << 20);
+  driver::Runtime warm_runtime(warm_ctx.acc, warm_ctx.dram, warm_ctx.dma,
+                               options);
+  std::vector<double> warm_ms;
+  for (std::size_t i = 0; i < w.inputs.size(); ++i) {
+    t0 = std::chrono::steady_clock::now();
+    const driver::BatchNetworkRun run =
+        warm_runtime.run_network_batch(program, {w.inputs[i]});
+    warm_ms.push_back(seconds_since(t0) * 1e3);
+    if (run.requests.front().logits != reference[i] ||
+        total_cycles(run.layers) != reference_cycles[i]) {
+      std::fprintf(stderr, "FAIL: program serve diverged on image %zu\n", i);
       return 1;
     }
   }
-  const obs::HistogramSnapshot warm_lat =
-      warm_metrics.histogram("serve.request_wall_us").snapshot();
-  const double warm_p50_ms = static_cast<double>(warm_lat.p50) / 1e3;
-  const double warm_p95_ms = static_cast<double>(warm_lat.p95) / 1e3;
-  const double warm_p99_ms = static_cast<double>(warm_lat.p99) / 1e3;
+  const double cold_first_ms = compile_ms + warm_ms.front();
+  warm_ms.erase(warm_ms.begin());  // the cold call
+  const double warm_p50_ms = nearest_rank(warm_ms, 0.50);
+  const double warm_p95_ms = nearest_rank(warm_ms, 0.95);
+  const double warm_p99_ms = nearest_rank(warm_ms, 0.99);
   std::printf("  compile %8.2f ms\n", compile_ms);
   std::printf("  cold    %8.2f ms (compile + first request)\n", cold_first_ms);
   std::printf("  warm    %8.2f ms p50 / %8.2f ms p95 per request\n",
@@ -587,9 +595,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: cached program DDR image differs\n");
       return 1;
     }
-    const std::vector<driver::NetworkRun> cached_run =
-        warm_runtime.serve(*cached, {w.inputs.front()});
-    if (cached_run.front().logits != reference.front().logits) {
+    if (warm_runtime.run_network(*cached, w.inputs.front()).logits !=
+        reference.front()) {
       std::fprintf(stderr, "FAIL: cached program serve diverged\n");
       return 1;
     }
@@ -613,7 +620,7 @@ int main(int argc, char** argv) {
   // (-1.0 in the JSON = build without the hooks, nothing measured).
   double warm_allocs_per_request = -1.0;
   if (obs::alloc_counting_enabled()) {
-    serve::Server alloc_server(program, {.workers = 1});
+    serve::Server alloc_server(registry, "vgg", {.workers = 1});
     const auto serve_one = [&] {
       serve::Response r = alloc_server.submit(w.inputs.front()).get();
       if (r.status != serve::Status::kOk) std::abort();
@@ -650,14 +657,12 @@ int main(int argc, char** argv) {
                  "    {\"workers\": %d, \"wall_s\": %.4f, "
                  "\"images_per_s\": %.3f, \"sim_cycles_per_s\": %.0f, "
                  "\"speedup_vs_1w\": %.3f, "
-                 "\"request_wall_us\": {\"p50\": %lld, \"p95\": %lld, "
-                 "\"max\": %lld}}%s\n",
+                 "\"request_wall_us\": {\"p50\": %.0f, \"p95\": %.0f, "
+                 "\"max\": %.0f}}%s\n",
                  m.workers, m.wall_s, m.units / m.wall_s,
                  static_cast<double>(m.sim_cycles) / m.wall_s,
                  serve_rows.front().wall_s / m.wall_s,
-                 static_cast<long long>(m.lat_p50_us),
-                 static_cast<long long>(m.lat_p95_us),
-                 static_cast<long long>(m.lat_max_us),
+                 m.lat_p50_us, m.lat_p95_us, m.lat_max_us,
                  i + 1 < serve_rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");

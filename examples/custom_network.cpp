@@ -56,16 +56,27 @@ int main(int argc, char** argv) {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
 
-  // Compile every conv layer once up front — packing, weight image, stripe
-  // plan — so the batch loop below only stages data and fires instructions.
+  // Compile every accelerator layer once up front — packing, weight image,
+  // stripe plan — so the batch loop below only stages data and fires
+  // instructions.
   const std::vector<nn::LayerShape> shapes = net.infer_shapes();
   std::vector<driver::ConvProgram> conv_programs(net.layers().size());
+  std::vector<driver::PoolPlan> pool_plans(net.layers().size());
   for (std::size_t i = 0; i < net.layers().size(); ++i) {
-    if (net.layers()[i].kind != nn::LayerKind::kConv) continue;
+    const nn::LayerSpec& spec = net.layers()[i];
     const nn::FmShape in = i == 0 ? net.input_shape() : shapes[i - 1].fm;
-    conv_programs[i] = driver::compile_conv(
-        acc.config(), in, pack::pack_filters(model.weights.conv[i]),
-        model.weights.conv_bias[i], model.weights.conv_requant[i]);
+    if (spec.kind == nn::LayerKind::kConv)
+      conv_programs[i] = driver::compile_conv(
+          acc.config(), in, pack::pack_filters(model.weights.conv[i]),
+          model.weights.conv_bias[i], model.weights.conv_requant[i]);
+    else if (spec.kind == nn::LayerKind::kPad)
+      pool_plans[i] = driver::compile_pool(acc.config(), in, shapes[i].fm,
+                                           core::Opcode::kPad, 1, 1,
+                                           -spec.pad.top, -spec.pad.left);
+    else if (spec.kind == nn::LayerKind::kMaxPool)
+      pool_plans[i] = driver::compile_pool(
+          acc.config(), in, shapes[i].fm, core::Opcode::kPool,
+          spec.pool.size, spec.pool.stride, 0, 0);
   }
 
   // Layer-major batched execution: pads/pools per image, convs batched.
@@ -82,16 +93,9 @@ int main(int argc, char** argv) {
     if (spec.kind == nn::LayerKind::kConv) {
       fms = runtime.run_conv_batch(fms, conv_programs[i], run);
     } else {
-      const nn::FmShape out = shapes[i].fm;
       for (auto& fm : fms) {
         driver::LayerRun sub;
-        if (spec.kind == nn::LayerKind::kPad)
-          fm = runtime.run_pad_pool(fm, core::Opcode::kPad, out, 1, 1,
-                                    -spec.pad.top, -spec.pad.left, sub);
-        else
-          fm = runtime.run_pad_pool(fm, core::Opcode::kPool, out,
-                                    spec.pool.size, spec.pool.stride, 0, 0,
-                                    sub);
+        fm = runtime.run_pad_pool(fm, pool_plans[i], sub);
         run.cycles += sub.cycles;
       }
     }

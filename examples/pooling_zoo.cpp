@@ -48,9 +48,12 @@ int main() {
     const nn::FeatureMapI8 expected =
         nn::maxpool_i8(input, {g.win, g.stride});
     driver::LayerRun run;
-    const pack::TiledFm out =
-        runtime.run_pad_pool(pack::to_tiled(input), core::Opcode::kPool,
-                             expected.shape(), g.win, g.stride, 0, 0, run);
+    const pack::TiledFm out = runtime.run_pad_pool(
+        pack::to_tiled(input),
+        driver::compile_pool(accelerator.config(), input.shape(),
+                             expected.shape(), core::Opcode::kPool, g.win,
+                             g.stride, 0, 0),
+        run);
     const bool ok = pack::from_tiled(out) == expected;
     all_ok = all_ok && ok;
     const int otiles = pack::tiles_for(expected.shape().h) *
@@ -70,8 +73,11 @@ int main() {
     const nn::FeatureMapI8 expected = nn::pad_i8(input, pad);
     driver::LayerRun run;
     const pack::TiledFm out = runtime.run_pad_pool(
-        pack::to_tiled(input), core::Opcode::kPad, expected.shape(), 1, 1,
-        -pad.top, -pad.left, run);
+        pack::to_tiled(input),
+        driver::compile_pool(accelerator.config(), input.shape(),
+                             expected.shape(), core::Opcode::kPad, 1, 1,
+                             -pad.top, -pad.left),
+        run);
     const bool ok = pack::from_tiled(out) == expected;
     all_ok = all_ok && ok;
     std::printf("pad t%d b%d l%d r%d %20s %9llu %18s\n", pad.top, pad.bottom,

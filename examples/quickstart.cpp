@@ -3,7 +3,8 @@
 // Shows the whole public-API flow on a toy layer:
 //   1. make an int8 feature map and filter bank,
 //   2. pack the filters for zero-skipping,
-//   3. run on the cycle-accurate engine via the host runtime,
+//   3. compile the layer and run it on the cycle-accurate engine via the
+//      host runtime,
 //   4. check against the int8 reference and look at the counters.
 //
 // Build & run:  ./build/examples/quickstart
@@ -45,9 +46,12 @@ int main() {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(accelerator, dram, dma, {.mode = driver::ExecMode::kCycle});
 
+  // Compile once (weight streams + stripe plan), then execute.
+  const driver::ConvProgram conv = driver::compile_conv(
+      accelerator.config(), input.shape(), packed, bias, requant);
   driver::LayerRun run;
-  const pack::TiledFm out_tiled = runtime.run_conv(
-      pack::to_tiled(input), packed, bias, requant, run);
+  const pack::TiledFm out_tiled =
+      runtime.run_conv(pack::to_tiled(input), conv, run);
   const nn::FeatureMapI8 output = pack::from_tiled(out_tiled);
 
   // The accelerator is bit-exact with the int8 reference.

@@ -44,6 +44,7 @@
 #include "core/simd.hpp"
 #include "driver/accelerator_pool.hpp"
 #include "driver/pool_runtime.hpp"
+#include "driver/program_registry.hpp"
 #include "driver/runtime.hpp"
 #include "nn/vgg16.hpp"
 #include "obs/chrome_trace.hpp"
@@ -167,10 +168,12 @@ int main(int argc, char** argv) {
 
   // Compile once (quantization packing, plans, DDR weight image), then
   // execute the immutable program — the paper's host-prepares / driver-fires
-  // split.  A serving process would reuse `program` for every request.
+  // split.  The registry holds it; the serving modes reuse it per request.
+  driver::ProgramRegistry registry(cfg);
+  registry.add_model("vgg16", net, model);
   const auto tc = std::chrono::steady_clock::now();
-  const driver::NetworkProgram program =
-      driver::NetworkProgram::compile(net, model, cfg);
+  const driver::ProgramHandle handle = registry.acquire("vgg16");
+  const driver::NetworkProgram& program = handle.program();
   const double compile_s = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - tc)
                                .count();
@@ -189,7 +192,7 @@ int main(int argc, char** argv) {
     sopts.mode = mode;
     if (trace_path != nullptr) sopts.trace = &recorder;
     if (dump_metrics) sopts.metrics = &metrics;
-    serve::Server server(program, sopts);
+    serve::Server server(registry, "vgg16", sopts);
     serve::NetServer net(server, {.port = listen_port});
     std::printf("listening on 127.0.0.1:%u  (%d worker%s, %s mode, "
                 "max batch %d) — EOF on stdin stops\n",
@@ -231,7 +234,7 @@ int main(int argc, char** argv) {
     sopts.mode = mode;
     if (trace_path != nullptr) sopts.trace = &recorder;
     if (dump_metrics) sopts.metrics = &metrics;
-    serve::Server server(program, sopts);
+    serve::Server server(registry, "vgg16", sopts);
     std::printf("serving %d requests: %d worker%s, %s mode, max batch %d\n",
                 serve_requests, sopts.workers, sopts.workers == 1 ? "" : "s",
                 driver::exec_mode_name(mode), sopts.batch.max_batch);

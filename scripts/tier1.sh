@@ -7,7 +7,7 @@
 # Run from the repo root:
 #
 #   ./scripts/tier1.sh            # all configurations
-#   ./scripts/tier1.sh default    # just the plain build
+#   ./scripts/tier1.sh default    # just the plain build + benchmark smoke
 #   ./scripts/tier1.sh sanitize   # just the asan/ubsan build
 #   ./scripts/tier1.sh tsan       # just the tsan pool/program build
 #   ./scripts/tier1.sh scalar     # just the TSCA_SIMD=OFF equivalence build
@@ -41,6 +41,22 @@ run_config() {
   echo "=== ${build_dir} bench_autotune --quick ==="
   (cd "${root}/${build_dir}" &&
     ./bench/bench_autotune --quick --out /tmp/BENCH_autotune_quick.json)
+}
+
+# Repository benchmark smoke (BENCHMARK.json): builds benchmark/ against
+# src/ and runs every workload in --quick form, so a src/ change that breaks
+# the benchmark fails here instead of after merge.  Exit 2 is an invalid
+# measurement (host noise) and only warns; exit 1 or a build failure fails.
+run_benchmark_smoke() {
+  echo "=== benchmark/run.sh --quick ==="
+  status=0
+  (cd "${root}" && bash benchmark/run.sh --quick --out build-bench-smoke) ||
+    status=$?
+  case "${status}" in
+    0) ;;
+    2) echo "tier1: WARNING: benchmark smoke measurement invalid (exit 2)" >&2 ;;
+    *) echo "tier1: benchmark smoke failed (exit ${status})" >&2; exit 1 ;;
+  esac
 }
 
 # ThreadSanitizer build, restricted to the suites that exercise cross-thread
@@ -116,7 +132,9 @@ run_scalar() {
 }
 
 case "${which}" in
-  default) run_config build ;;
+  default)
+    run_config build
+    run_benchmark_smoke ;;
   sanitize)
     run_config build-sanitize -DTSCA_SANITIZE=address,undefined ;;
   tsan) run_tsan ;;
@@ -125,6 +143,7 @@ case "${which}" in
   alloc) run_alloc ;;
   all)
     run_config build
+    run_benchmark_smoke
     run_config build-sanitize -DTSCA_SANITIZE=address,undefined
     run_tsan
     run_scalar

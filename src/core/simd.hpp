@@ -172,21 +172,4 @@ bool conv_win_host_ok();
 // unknown, compiled out, or unsupported by the host CPU.
 bool select_backend(const char* name);
 
-// --- Convenience single-tile wrappers (legacy call sites) -----------------
-
-inline void mac16(std::int32_t* acc, const std::int8_t* region,
-                  std::int8_t w) {
-  backend().mac(acc, region, w, 1);
-}
-
-inline void requantize16(const std::int32_t* acc, std::int8_t* out, int shift,
-                         bool relu) {
-  backend().requantize(acc, out, shift, relu, 1);
-}
-
-inline std::int8_t masked_max16(const std::int8_t* v,
-                                const std::uint8_t* mask) {
-  return backend().masked_max16(v, mask);
-}
-
 }  // namespace tsca::core::simd

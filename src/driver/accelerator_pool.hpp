@@ -8,11 +8,11 @@
 // Accelerator/Dram/DmaEngine contexts, each owned by one std::thread worker,
 // fed from a shared work queue (an atomic index over the unit range).
 //
-// Units of work (stripes, images, whole-network requests) are independent by
-// construction, and every context executes a unit through exactly the same
-// code path as the serial Runtime (driver/stripe_exec.hpp), so merged
-// results are bit-identical to serial execution regardless of which worker
-// ran which unit.
+// Units of work (stripes, images) are independent by construction, and
+// every context executes a unit through exactly the same code path as the
+// serial Runtime (driver/stripe_exec.hpp), so merged results are
+// bit-identical to serial execution regardless of which worker ran which
+// unit.
 #pragma once
 
 #include <atomic>
@@ -55,8 +55,8 @@ class AcceleratorPool {
     std::uint64_t staged_stamp = 0;
     std::uint64_t ddr_floor = 0;
     int worker = 0;                // index of the owning worker thread
-    // Serving timeline position (simulated cycles) for tracing: requests a
-    // worker serves lay their spans end to end on the worker's tracks.
+    // Serving timeline position (simulated cycles) for tracing: batches a
+    // Server worker executes lay their spans end to end on its tracks.
     std::uint64_t trace_clock = 0;
     // Fast-path conv working set, reused across every stripe and request
     // this context executes.  Safe because a context never runs two units

@@ -132,14 +132,16 @@ struct PoolPlan {
   int ofm_base = 0;
   std::vector<PoolStripe> stripes;
 
-  // Filled by NetworkProgram::compile (empty for ad-hoc plans, which decode
-  // on the fly): one decoded fast-path plan per stripe, plus the PerfModel
-  // prediction for the whole layer so fast executions skip re-deriving it.
+  // Filled by compile_pool (driver/program.hpp; plan_pool leaves them
+  // empty): one decoded fast-path plan per stripe, plus the PerfModel
+  // prediction for the whole layer.  ExecMode::kFast requires both.
   std::vector<core::FastPoolPlan> fastp;
   std::uint64_t predicted_cycles = 0;
   std::int64_t predicted_ops = 0;
 };
 
+// Stripe geometry only (PerfModel plans with it); executors take
+// compile_pool's finalized plan.
 PoolPlan plan_pool(const core::ArchConfig& cfg, const nn::FmShape& in_shape,
                    const nn::FmShape& out_shape, core::Opcode op, int win,
                    int stride, int offset_y, int offset_x);

@@ -32,7 +32,6 @@ int LoweringContext::add_conv(ConvProgram conv) {
 }
 
 int LoweringContext::add_pool(PoolPlan plan) {
-  finalize_pool_plan(program_.cfg_, plan);
   program_.pools_.push_back(std::move(plan));
   return static_cast<int>(program_.pools_.size()) - 1;
 }
@@ -90,34 +89,25 @@ void lower_pad(LoweringContext& ctx) {
   const nn::LayerSpec& spec = ctx.spec();
   const nn::Network& net = ctx.net();
   const std::size_t i = ctx.index();
-  // Fuse with a directly following conv when both fit on chip — the same
-  // fit predicate the per-call path evaluated, decided here once.  Fusion
+  // Fuse with a directly following conv when both fit on chip (the
+  // plan_fused_pad_conv fit predicate), decided here once.  Fusion
   // hides the padded map inside the batch, so it must be declined when some
   // residual skip needs this pad's output as a live tensor slot.
   if (ctx.options().fuse_pad_conv && i + 1 < net.layers().size() &&
       net.layers()[i + 1].kind == nn::LayerKind::kConv &&
       !ctx.layer_needs_slot(i)) {
-    const pack::PackedFilters packed =
-        pack::pack_filters(ctx.model().weights.conv[i + 1]);
-    TSCA_CHECK(packed.shape().ic == ctx.fm.c);
-    TSCA_CHECK(packed.shape().kh == packed.shape().kw);
-    ConvProgram conv;
-    conv.wimg = WeightImage(packed, ctx.cfg().lanes, ctx.cfg().group);
-    const std::optional<FusedPadConvLayout> layout = plan_fused_pad_conv(
-        ctx.cfg(), ctx.fm, spec.pad, packed.shape().kh, packed.shape().oc,
-        conv.wimg);
-    if (layout.has_value()) {
-      conv.bias = ctx.model().weights.conv_bias[i + 1];
-      conv.rq = ctx.model().weights.conv_requant[i + 1];
-      conv.macs = conv_macs(layout->padded, layout->out.c, layout->kernel);
-      FusedPadConvLayout fused_layout = *layout;
-      fill_fused_predictions(ctx.cfg(), conv, fused_layout);
+    std::optional<FusedPadConv> fused = compile_fused_pad_conv(
+        ctx.cfg(), ctx.fm, spec.pad,
+        pack::pack_filters(ctx.model().weights.conv[i + 1]),
+        ctx.model().weights.conv_bias[i + 1],
+        ctx.model().weights.conv_requant[i + 1]);
+    if (fused.has_value()) {
+      ctx.fm = fused->layout.out;
       Step step;
       step.exec = Step::Exec::kFusedPadConv;
-      step.conv = ctx.add_conv(std::move(conv));
-      step.fused = ctx.add_fused(std::move(fused_layout));
+      step.conv = ctx.add_conv(std::move(fused->conv));
+      step.fused = ctx.add_fused(std::move(fused->layout));
       ctx.push_step(step);
-      ctx.fm = layout->out;
       ctx.consumed = 2;  // the conv layer was consumed
       return;
     }
@@ -129,8 +119,9 @@ void lower_pad(LoweringContext& ctx) {
                         ctx.fm.w + spec.pad.left + spec.pad.right};
   Step step;
   step.exec = Step::Exec::kPadPool;
-  step.pool = ctx.add_pool(plan_pool(ctx.cfg(), ctx.fm, out, core::Opcode::kPad,
-                                     1, 1, -spec.pad.top, -spec.pad.left));
+  step.pool = ctx.add_pool(compile_pool(ctx.cfg(), ctx.fm, out,
+                                        core::Opcode::kPad, 1, 1,
+                                        -spec.pad.top, -spec.pad.left));
   ctx.push_step(step);
   ctx.fm = out;
 }
@@ -156,9 +147,9 @@ void lower_maxpool(LoweringContext& ctx) {
                         nn::conv_out_extent(ctx.fm.w, pool.size, pool.stride)};
   Step step;
   step.exec = Step::Exec::kPadPool;
-  step.pool = ctx.add_pool(plan_pool(ctx.cfg(), ctx.fm, out,
-                                     core::Opcode::kPool, pool.size,
-                                     pool.stride, 0, 0));
+  step.pool = ctx.add_pool(compile_pool(ctx.cfg(), ctx.fm, out,
+                                        core::Opcode::kPool, pool.size,
+                                        pool.stride, 0, 0));
   ctx.push_step(step);
   ctx.fm = out;
 }
@@ -170,9 +161,9 @@ void lower_global_pool(LoweringContext& ctx) {
   const nn::FmShape out{ctx.fm.c, 1, 1};
   Step step;
   step.exec = Step::Exec::kGlobalPool;
-  step.pool = ctx.add_pool(plan_pool(ctx.cfg(), ctx.fm, out,
-                                     core::Opcode::kPool, ctx.fm.h, ctx.fm.h,
-                                     0, 0));
+  step.pool = ctx.add_pool(compile_pool(ctx.cfg(), ctx.fm, out,
+                                        core::Opcode::kPool, ctx.fm.h,
+                                        ctx.fm.h, 0, 0));
   ctx.push_step(step);
   ctx.fm = out;
 }

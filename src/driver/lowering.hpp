@@ -14,7 +14,7 @@
 // touching this file:
 //
 //   driver::ScopedLowering guard(my_kind, [](driver::LoweringContext& ctx) {
-//     auto plan = plan_pool(ctx.cfg(), ctx.fm, ...);
+//     auto plan = compile_pool(ctx.cfg(), ctx.fm, ...);
 //     NetworkProgram::Step step;
 //     step.exec = NetworkProgram::Step::Exec::kPadPool;
 //     step.pool = ctx.add_pool(std::move(plan));
@@ -65,7 +65,7 @@ class LoweringContext {
 
   // Builders: append an artifact, return its index for the Step fields.
   int add_conv(ConvProgram conv);
-  int add_pool(PoolPlan plan);  // runs finalize_pool_plan
+  int add_pool(PoolPlan plan);  // a compile_pool result
   int add_fused(FusedPadConvLayout layout);
   int add_fc(FcProgram fc);
   int add_eltwise(nn::EltwiseQ q);

@@ -1,8 +1,6 @@
 #include "driver/pool_runtime.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <string>
 
 #include "driver/stripe_exec.hpp"
 
@@ -288,17 +286,12 @@ void PoolRuntime::fast_exec_pool(const pack::TiledFm& input,
     Runtime::fast_exec_pool(input, plan, output);
     return;
   }
-  const bool cached = plan.fastp.size() == plan.stripes.size();
   pool_.parallel_for(
       plan.stripes.size(),
       [&](AcceleratorPool::Context& /*ctx*/, std::size_t si) {
-        const PoolStripe& stripe = plan.stripes[si];
-        if (cached)
-          core::fast_pad_pool(input, plan.fastp[si], stripe.in_tile_row0,
-                              stripe.otile_row0, output);
-        else
-          core::fast_pad_pool(input, make_pool_instr(plan, stripe),
-                              stripe.in_tile_row0, stripe.otile_row0, output);
+        core::fast_pad_pool(input, plan.fastp[si],
+                            plan.stripes[si].in_tile_row0,
+                            plan.stripes[si].otile_row0, output);
       });
 }
 
@@ -308,65 +301,6 @@ void PoolRuntime::ensure_program_staged(const NetworkProgram& program) {
   // Context 0 backs the base runtime's acc_/dram_/dma_: adopt the residency
   // it just received so the base-class bump allocator fences above the image.
   adopt_staged_program(program.stamp(), program.ddr_image().size());
-}
-
-std::vector<NetworkRun> PoolRuntime::serve(
-    const NetworkProgram& program,
-    const std::vector<nn::FeatureMapI8>& inputs) {
-  // Stage the shared weight image into every context before fanning out —
-  // part of compile/stage time, not of any request's latency.
-  ensure_program_staged(program);
-  std::vector<NetworkRun> results(inputs.size());
-  const RuntimeOptions base = options_;
-  obs::MetricsRegistry* const metrics = options_.metrics;
-  pool_.parallel_for(
-      inputs.size(), [&](AcceleratorPool::Context& ctx, std::size_t i) {
-        // A fresh serial Runtime per request: per-request statistics come
-        // out exactly as a standalone serial run would report them.  Track
-        // names are scoped per worker, and the worker's trace clock carries
-        // across requests so their spans lay end to end.  The context's
-        // resident image is adopted, so no request re-writes it.
-        RuntimeOptions options = base;
-        if (options.trace != nullptr)
-          options.trace_scope =
-              base.trace_scope + "worker" + std::to_string(ctx.worker) + "/";
-        Runtime runtime(ctx.acc, ctx.dram, ctx.dma, options);
-        runtime.adopt_staged_program(ctx.staged_stamp, ctx.ddr_floor);
-        runtime.set_trace_clock(ctx.trace_clock);
-        const auto wall0 = std::chrono::steady_clock::now();
-        results[i] = runtime.run_network(program, inputs[i]);
-        const std::int64_t wall_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - wall0)
-                .count();
-        const std::uint64_t sim_cycles =
-            runtime.trace_clock() - ctx.trace_clock;
-        if (options.trace != nullptr)
-          options.trace->track(options.trace_scope + "requests")
-              .complete("request " + std::to_string(i), "request",
-                        ctx.trace_clock, sim_cycles,
-                        {{"layers", static_cast<std::int64_t>(
-                                        results[i].layers.size())},
-                         {"wall_us", wall_us}});
-        ctx.trace_clock = runtime.trace_clock();
-        if (metrics != nullptr) {
-          metrics->counter("serve.requests").add(1);
-          metrics->histogram("serve.request_sim_cycles")
-              .observe(static_cast<std::int64_t>(sim_cycles));
-          metrics->histogram("serve.request_wall_us").observe(wall_us);
-        }
-      });
-  return results;
-}
-
-std::vector<NetworkRun> PoolRuntime::serve(
-    const nn::Network& net, const quant::QuantizedModel& model,
-    const std::vector<nn::FeatureMapI8>& inputs) {
-  ProgramOptions popts;
-  popts.fuse_pad_conv = options_.fuse_pad_conv;
-  const NetworkProgram program =
-      NetworkProgram::compile(net, model, pool_.config(), popts);
-  return serve(program, inputs);
 }
 
 }  // namespace tsca::driver

@@ -1,11 +1,10 @@
 // Host-parallel runtime on top of AcceleratorPool.
 //
-// Drop-in replacement for the serial Runtime: the stripe loops of run_conv /
-// run_pad_pool fan out over the pool's workers (one stripe per unit), batched
-// convolution fans out over images, and serve() runs whole-network requests
-// concurrently — one request per context, exactly the scale-out axis the
-// paper's 512-opt uses and PipeCNN-style hosts exploit with concurrent
-// pipeline kernels.
+// Drop-in replacement for the serial Runtime with two parallelism axes:
+// the stripe loops of run_conv / run_pad_pool fan out over the pool's
+// workers (one stripe per unit), and batched convolution fans out over
+// images.  Request-level parallelism belongs to serve::Server, whose workers
+// each own a context.
 //
 // Determinism guarantee: simulated cycle counts, hardware counters, and
 // output feature maps are bit-identical to the serial Runtime for any worker
@@ -31,12 +30,6 @@ class PoolRuntime final : public Runtime {
   // lowering, host-side layers) run on context 0.
   explicit PoolRuntime(AcceleratorPool& pool, RuntimeOptions options = {});
 
-  // The compile-on-the-fly wrappers from Runtime stay visible alongside the
-  // program overloads overridden below.
-  using Runtime::run_conv;
-  using Runtime::run_pad_pool;
-  using Runtime::run_conv_batch;
-
   pack::TiledFm run_conv(const pack::TiledFm& input, const ConvProgram& conv,
                          LayerRun& run) override;
 
@@ -48,22 +41,9 @@ class PoolRuntime final : public Runtime {
       LayerRun& run) override;
 
   // Stages the program's weight image into every worker context's DDR (and
-  // the base runtime's, i.e. context 0), so pooled stripes and served
-  // requests all read weights from a resident image.
+  // the base runtime's, i.e. context 0), so pooled stripes and images all
+  // read weights from a resident image.
   void ensure_program_staged(const NetworkProgram& program) override;
-
-  // Whole-network request parallelism: each request runs a full serial
-  // network pass on a private context, all sharing `program` by const
-  // reference.  Results (including per-layer statistics) are bit-identical
-  // to running each request through a fresh serial Runtime.
-  std::vector<NetworkRun> serve(const NetworkProgram& program,
-                                const std::vector<nn::FeatureMapI8>& inputs);
-
-  // Compile-on-the-fly serve: compiles the network once (honouring
-  // options_.fuse_pad_conv) and delegates to the program overload.
-  std::vector<NetworkRun> serve(const nn::Network& net,
-                                const quant::QuantizedModel& model,
-                                const std::vector<nn::FeatureMapI8>& inputs);
 
  protected:
   // Fast-path stripe parallelism: the plan's stripe row-bands fan out across

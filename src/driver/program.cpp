@@ -83,6 +83,9 @@ core::ConvInstr make_fused_conv_instr(const ConvProgram& conv,
   return ci;
 }
 
+namespace {
+
+// Fills conv.fastw and layout.predicted_* for a fused pad+conv layer.
 void fill_fused_predictions(const core::ArchConfig& cfg, ConvProgram& conv,
                             FusedPadConvLayout& layout) {
   conv.fastw = decode_fast_weights(conv.wimg, layout.padded.c, layout.kernel);
@@ -121,6 +124,8 @@ void fill_fused_predictions(const core::ArchConfig& cfg, ConvProgram& conv,
   p.weight_bubbles = work.weight_bubbles;
 }
 
+}  // namespace
+
 // Decodes every stripe's fast-path pool plan and caches the PerfModel
 // prediction, so neither executor derives them again per request/image.
 void finalize_pool_plan(const core::ArchConfig& cfg, PoolPlan& plan) {
@@ -131,6 +136,15 @@ void finalize_pool_plan(const core::ArchConfig& cfg, PoolPlan& plan) {
   const PoolPerf perf = PerfModel(cfg).pool_plan_perf(plan);
   plan.predicted_cycles = static_cast<std::uint64_t>(perf.cycles);
   plan.predicted_ops = perf.ops;
+}
+
+PoolPlan compile_pool(const core::ArchConfig& cfg, const nn::FmShape& in_shape,
+                      const nn::FmShape& out_shape, core::Opcode op, int win,
+                      int stride, int offset_y, int offset_x) {
+  PoolPlan plan = plan_pool(cfg, in_shape, out_shape, op, win, stride,
+                            offset_y, offset_x);
+  finalize_pool_plan(cfg, plan);
+  return plan;
 }
 
 ConvProgram compile_conv(const core::ArchConfig& cfg,
@@ -214,6 +228,26 @@ std::optional<FusedPadConvLayout> plan_fused_pad_conv(
   layout.ofm_base = raw_words + padded_words;
   layout.weight_base = layout.ofm_base + out_words;
   return layout;
+}
+
+std::optional<FusedPadConv> compile_fused_pad_conv(
+    const core::ArchConfig& cfg, const nn::FmShape& raw,
+    const nn::Padding& pad, const pack::PackedFilters& packed,
+    std::vector<std::int32_t> bias, const nn::Requant& rq) {
+  TSCA_CHECK(packed.shape().ic == raw.c);
+  TSCA_CHECK(packed.shape().kh == packed.shape().kw);
+  FusedPadConv fused;
+  fused.conv.wimg = WeightImage(packed, cfg.lanes, cfg.group);
+  const std::optional<FusedPadConvLayout> layout = plan_fused_pad_conv(
+      cfg, raw, pad, packed.shape().kh, packed.shape().oc, fused.conv.wimg);
+  if (!layout.has_value()) return std::nullopt;
+  fused.layout = *layout;
+  fused.conv.bias = std::move(bias);
+  fused.conv.rq = rq;
+  fused.conv.macs =
+      conv_macs(fused.layout.padded, fused.layout.out.c, fused.layout.kernel);
+  fill_fused_predictions(cfg, fused.conv, fused.layout);
+  return fused;
 }
 
 NetworkProgram NetworkProgram::compile(const nn::Network& net,

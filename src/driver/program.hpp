@@ -20,10 +20,10 @@
 //
 // producing an immutable artifact that any number of executions (and any
 // number of pool workers, concurrently) can share by const reference.
-// Execution through a program is bit-identical to the compile-per-call
-// wrappers: same instructions, same cycle counts, same counters, and the
-// same DMA statistics (a weight transfer from the resident image moves the
-// same bytes in the same number of transfers as one staged through the
+// Execution through a program is bit-identical to executing its standalone
+// layer artifacts: same instructions, same cycle counts, same counters, and
+// the same DMA statistics (a weight transfer from the resident image moves
+// the same bytes in the same number of transfers as one staged through the
 // bump allocator).
 #pragma once
 
@@ -74,17 +74,16 @@ struct ConvProgram {
   }
 };
 
-// Compiles one standalone conv layer (the compile-on-the-fly path behind the
-// packed-filters entry points).  Checks shape compatibility the same way the
-// original run_conv did.
+// Compiles one standalone conv layer: weight streams, striped plan, and the
+// fast path's decoded weights and predictions.  Throws on filters that do
+// not match the input's channels.
 ConvProgram compile_conv(const core::ArchConfig& cfg,
                          const nn::FmShape& in_shape,
                          const pack::PackedFilters& packed,
                          std::vector<std::int32_t> bias, const nn::Requant& rq);
 
 // Lowers a fully-connected layer (row-major [out][in] weights) to a 1x1
-// convolution over a 1x1 feature map and compiles it.  The packing artifact
-// this builds is what run_fc_as_conv used to reconstruct on every call.
+// convolution over a 1x1 feature map and compiles it (for run_fc_as_conv).
 ConvProgram compile_fc_conv(const core::ArchConfig& cfg, int in_dim,
                             int out_dim,
                             const std::vector<std::int8_t>& weights,
@@ -129,10 +128,6 @@ core::ConvInstr make_fused_conv_instr(const ConvProgram& conv,
 core::FastConvWeights decode_fast_weights(const WeightImage& wimg,
                                           int in_channels, int kernel);
 
-// Fills conv.fastw and layout.predicted_* for a fused pad+conv layer.
-void fill_fused_predictions(const core::ArchConfig& cfg, ConvProgram& conv,
-                            FusedPadConvLayout& layout);
-
 // Fit check + layout.  Returns nullopt when the fused form does not fit on
 // chip (the caller falls back to a separate pad layer + striped conv).  Pure
 // in (cfg, shapes, weight stream sizes), so compile-time fusion decisions
@@ -141,6 +136,21 @@ std::optional<FusedPadConvLayout> plan_fused_pad_conv(
     const core::ArchConfig& cfg, const nn::FmShape& raw,
     const nn::Padding& pad, int kernel, int out_channels,
     const WeightImage& wimg);
+
+// A PAD and the following CONV compiled as one on-chip fusion: the conv's
+// weight streams (no striped plan) plus the fused layout, with the fast
+// path's decoded weights and predictions filled in.
+struct FusedPadConv {
+  ConvProgram conv;
+  FusedPadConvLayout layout;
+};
+
+// Compiles the fusion, or returns nullopt when it does not fit on chip
+// (plan_fused_pad_conv); callers then keep the two layers separate.
+std::optional<FusedPadConv> compile_fused_pad_conv(
+    const core::ArchConfig& cfg, const nn::FmShape& raw,
+    const nn::Padding& pad, const pack::PackedFilters& packed,
+    std::vector<std::int32_t> bias, const nn::Requant& rq);
 
 // Host-side fully-connected layer: weights copied out of the model so a
 // program execution never touches the QuantizedModel again.
@@ -152,8 +162,10 @@ struct FcProgram {
 };
 
 struct ProgramOptions {
-  // Mirrors RuntimeOptions::fuse_pad_conv; the decision is resolved here, at
-  // compile time, and baked into the step list.
+  // Fuse PAD directly into the following CONV batch when both fit on chip
+  // unstriped: the padded map never round-trips through DDR (the banks
+  // persist between instructions).  Resolved at compile time and baked
+  // into the step list; layers that need striping stay separate.
   bool fuse_pad_conv = true;
 };
 
@@ -248,9 +260,16 @@ class NetworkProgram {
   std::uint64_t stamp_ = 0;
 };
 
+// Plans a PAD (win=1, stride=1, offset=−pad) or POOL layer and finalizes it
+// (finalize_pool_plan): the pad/pool counterpart of compile_conv, and the
+// only plan form the executors accept in ExecMode::kFast.
+PoolPlan compile_pool(const core::ArchConfig& cfg, const nn::FmShape& in_shape,
+                      const nn::FmShape& out_shape, core::Opcode op, int win,
+                      int stride, int offset_y, int offset_x);
+
 // Decodes every stripe's fast-path pool plan and caches the PerfModel
 // prediction, so neither executor derives them again per request/image.
-// Called by LoweringContext::add_pool on every plan a lowering emits.
+// compile_pool and the CompileCache loader call it.
 void finalize_pool_plan(const core::ArchConfig& cfg, PoolPlan& plan);
 
 // Mints a process-unique program stamp.  compile() takes one per program;

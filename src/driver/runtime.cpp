@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/kernels.hpp"
-#include "driver/perf_model.hpp"
 #include "driver/stripe_exec.hpp"
 
 namespace tsca::driver {
@@ -24,34 +23,25 @@ const char* exec_mode_name(ExecMode mode) {
 
 namespace {
 
-// Fast-path artifacts of a striped conv layer.  compile_conv fills them at
-// compile time; hand-built ConvPrograms (tests) fall back to decoding and
-// predicting here.
-struct FastConvArtifacts {
-  core::FastConvWeights local;  // only filled when conv.fastw is empty
-  std::uint64_t cycles = 0;
-  core::CounterSnapshot counters;
-};
+// ExecMode::kFast runs compile-time artifacts only: the decoded weights and
+// PerfModel predictions compile_conv fills, the per-stripe fast plans and
+// prediction compile_pool fills.  An artifact without them is refused here
+// rather than silently re-derived on every call.
+void check_fast_conv(const ConvProgram& conv) {
+  TSCA_CHECK(conv.fastw.decoded() && conv.predicted_cycles != 0,
+             "fast path needs a compiled conv (compile_conv)");
+}
 
-FastConvArtifacts fast_conv_artifacts(const core::ArchConfig& cfg,
-                                      const ConvProgram& conv) {
-  FastConvArtifacts art;
-  if (!conv.fastw.decoded())
-    art.local =
-        decode_fast_weights(conv.wimg, conv.plan.in_shape.c, conv.plan.kernel);
-  if (conv.predicted_cycles != 0) {
-    art.cycles = conv.predicted_cycles;
-    art.counters = conv.predicted;
-  } else {
-    const ConvPerf perf = PerfModel(cfg).conv_plan_perf(conv.plan, conv.wimg);
-    art.cycles = static_cast<std::uint64_t>(perf.cycles);
-    art.counters.macs_performed = perf.macs_performed;
-    art.counters.weight_cmds = perf.weight_cmds;
-    art.counters.weight_bubbles = perf.weight_bubbles;
-    art.counters.conv_instrs = perf.instructions;
-    art.counters.positions = perf.positions;
-  }
-  return art;
+void check_fast_fused(const ConvProgram& conv,
+                      const FusedPadConvLayout& layout) {
+  TSCA_CHECK(conv.fastw.decoded() && layout.predicted_conv_cycles != 0,
+             "fast path needs a compiled fusion (compile_fused_pad_conv)");
+}
+
+void check_fast_pool(const PoolPlan& plan) {
+  TSCA_CHECK(plan.fastp.size() == plan.stripes.size() &&
+                 plan.predicted_cycles != 0,
+             "fast path needs a compiled pad/pool plan (compile_pool)");
 }
 
 // The fast conv executor runs the whole layer as one output-stationary pass;
@@ -271,15 +261,6 @@ pack::TiledFm Runtime::run_conv(const pack::TiledFm& input,
   return output;
 }
 
-pack::TiledFm Runtime::run_conv(const pack::TiledFm& input,
-                                const pack::PackedFilters& packed,
-                                const std::vector<std::int32_t>& bias,
-                                const nn::Requant& rq, LayerRun& run) {
-  return run_conv(
-      input, compile_conv(acc_.config(), input.shape(), packed, bias, rq),
-      run);
-}
-
 pack::TiledFm Runtime::run_pad_pool(const pack::TiledFm& input,
                                     const PoolPlan& plan, LayerRun& run) {
   if (options_.mode == ExecMode::kFast)
@@ -320,17 +301,6 @@ pack::TiledFm Runtime::run_pad_pool(const pack::TiledFm& input,
   run.dma = dma_.stats() - dma_before;
   finish_layer(run);
   return output;
-}
-
-pack::TiledFm Runtime::run_pad_pool(const pack::TiledFm& input,
-                                    core::Opcode op,
-                                    const nn::FmShape& out_shape, int win,
-                                    int stride, int offset_y, int offset_x,
-                                    LayerRun& run) {
-  return run_pad_pool(input,
-                      plan_pool(acc_.config(), input.shape(), out_shape, op,
-                                win, stride, offset_y, offset_x),
-                      run);
 }
 
 std::vector<pack::TiledFm> Runtime::run_conv_batch(
@@ -390,17 +360,6 @@ std::vector<pack::TiledFm> Runtime::run_conv_batch(
   return outputs;
 }
 
-std::vector<pack::TiledFm> Runtime::run_conv_batch(
-    const std::vector<pack::TiledFm>& inputs,
-    const pack::PackedFilters& packed, const std::vector<std::int32_t>& bias,
-    const nn::Requant& rq, LayerRun& run) {
-  TSCA_CHECK(!inputs.empty());
-  return run_conv_batch(
-      inputs,
-      compile_conv(acc_.config(), inputs.front().shape(), packed, bias, rq),
-      run);
-}
-
 std::vector<std::int8_t> Runtime::run_fc_as_conv(
     const std::vector<std::int8_t>& input, const ConvProgram& fc_conv,
     LayerRun& run) {
@@ -423,20 +382,6 @@ std::vector<std::int8_t> Runtime::run_fc_as_conv(
   for (int o = 0; o < out_dim; ++o)
     logits[static_cast<std::size_t>(o)] = linear.at(o, 0, 0);
   return logits;
-}
-
-std::vector<std::int8_t> Runtime::run_fc_as_conv(
-    const std::vector<std::int8_t>& input,
-    const std::vector<std::int8_t>& weights,
-    const std::vector<std::int32_t>& bias, int out_dim, const nn::Requant& rq,
-    LayerRun& run) {
-  TSCA_CHECK(out_dim > 0 && !input.empty());
-  TSCA_CHECK(weights.size() ==
-             input.size() * static_cast<std::size_t>(out_dim));
-  const int in_dim = static_cast<int>(input.size());
-  return run_fc_as_conv(
-      input,
-      compile_fc_conv(acc_.config(), in_dim, out_dim, weights, bias, rq), run);
 }
 
 void Runtime::run_fused_pad_conv(const pack::TiledFm& input,
@@ -542,35 +487,6 @@ void Runtime::run_fused_pad_conv(const pack::TiledFm& input,
   finish_layer(conv_run);
 }
 
-bool Runtime::run_fused_pad_conv(const pack::TiledFm& input,
-                                 const nn::Padding& pad,
-                                 const pack::PackedFilters& packed,
-                                 const std::vector<std::int32_t>& bias,
-                                 const nn::Requant& rq, pack::TiledFm& output,
-                                 LayerRun& pad_run, LayerRun& conv_run) {
-  const core::ArchConfig& cfg = acc_.config();
-  TSCA_CHECK(packed.shape().ic == input.channels());
-  TSCA_CHECK(packed.shape().kh == packed.shape().kw);
-  const int kernel = packed.shape().kh;
-  const nn::FmShape raw = input.shape();
-  const nn::FmShape padded{raw.c, raw.h + pad.top + pad.bottom,
-                           raw.w + pad.left + pad.right};
-  if (padded.h < kernel || padded.w < kernel) return false;
-  pad_run.reset_stats();
-  conv_run.reset_stats();
-
-  ConvProgram conv;
-  conv.wimg = WeightImage(packed, cfg.lanes, cfg.group);
-  const std::optional<FusedPadConvLayout> layout = plan_fused_pad_conv(
-      cfg, raw, pad, kernel, packed.shape().oc, conv.wimg);
-  if (!layout.has_value()) return false;
-  conv.bias = bias;
-  conv.rq = rq;
-  conv.macs = conv_macs(layout->padded, layout->out.c, layout->kernel);
-  run_fused_pad_conv(input, conv, *layout, output, pad_run, conv_run);
-  return true;
-}
-
 pack::TiledFm Runtime::fast_conv_layer(const pack::TiledFm& input,
                                        const ConvProgram& conv,
                                        LayerRun& run) {
@@ -580,10 +496,7 @@ pack::TiledFm Runtime::fast_conv_layer(const pack::TiledFm& input,
   TSCA_CHECK(!plan.stripes.empty(),
              "conv program has no striped plan (fused-only layer)");
   check_fast_stripe_invariant(plan);
-
-  const FastConvArtifacts art = fast_conv_artifacts(acc_.config(), conv);
-  const core::FastConvWeights& fw =
-      conv.fastw.decoded() ? conv.fastw : art.local;
+  check_fast_conv(conv);
 
   run.reset_stats();
   run.on_accelerator = true;
@@ -592,14 +505,14 @@ pack::TiledFm Runtime::fast_conv_layer(const pack::TiledFm& input,
   run.stripes = static_cast<int>(plan.stripes.size());
   for (const ConvStripe& stripe : plan.stripes)
     run.batches += static_cast<int>(stripe.chunks.size());
-  run.cycles = art.cycles;
+  run.cycles = conv.predicted_cycles;
   run.cycles_predicted = true;
-  run.counters = art.counters;
+  run.counters = conv.predicted;
 
   pack::TiledFm output(plan.out_shape);
   const pack::TiledFm* in = &input;
   pack::TiledFm* out = &output;
-  fast_exec_conv(&in, 1, fw, conv, &out, run.fast);
+  fast_exec_conv(&in, 1, conv.fastw, conv, &out, run.fast);
   finish_layer(run);
   return output;
 }
@@ -615,16 +528,9 @@ void Runtime::fast_exec_conv(const pack::TiledFm* const* inputs, int batch,
 
 void Runtime::fast_exec_pool(const pack::TiledFm& input, const PoolPlan& plan,
                              pack::TiledFm& output) {
-  const bool cached = plan.fastp.size() == plan.stripes.size();
-  for (std::size_t si = 0; si < plan.stripes.size(); ++si) {
-    const PoolStripe& stripe = plan.stripes[si];
-    if (cached)
-      core::fast_pad_pool(input, plan.fastp[si], stripe.in_tile_row0,
-                          stripe.otile_row0, output);
-    else
-      core::fast_pad_pool(input, make_pool_instr(plan, stripe),
-                          stripe.in_tile_row0, stripe.otile_row0, output);
-  }
+  for (std::size_t si = 0; si < plan.stripes.size(); ++si)
+    core::fast_pad_pool(input, plan.fastp[si], plan.stripes[si].in_tile_row0,
+                        plan.stripes[si].otile_row0, output);
 }
 
 pack::TiledFm Runtime::fast_pad_pool_layer(const pack::TiledFm& input,
@@ -632,6 +538,7 @@ pack::TiledFm Runtime::fast_pad_pool_layer(const pack::TiledFm& input,
                                            LayerRun& run) {
   TSCA_CHECK(plan.in_shape == input.shape(),
              "plan compiled for a different input shape");
+  check_fast_pool(plan);
   pack::TiledFm output(plan.out_shape);
 
   run.reset_stats();
@@ -642,14 +549,8 @@ pack::TiledFm Runtime::fast_pad_pool_layer(const pack::TiledFm& input,
   run.batches = run.stripes;  // one batch per stripe, like the engine
   fast_exec_pool(input, plan, output);
 
-  if (plan.predicted_cycles != 0) {
-    run.cycles = plan.predicted_cycles;
-    run.counters.pool_ops = plan.predicted_ops;
-  } else {
-    const PoolPerf perf = PerfModel(acc_.config()).pool_plan_perf(plan);
-    run.cycles = static_cast<std::uint64_t>(perf.cycles);
-    run.counters.pool_ops = perf.ops;
-  }
+  run.cycles = plan.predicted_cycles;
+  run.counters.pool_ops = plan.predicted_ops;
   run.cycles_predicted = true;
   if (plan.op == core::Opcode::kPad)
     run.counters.pad_instrs = run.stripes;
@@ -677,10 +578,7 @@ void Runtime::fast_conv_batch_inplace(std::vector<pack::TiledFm>& fms,
   TSCA_CHECK(plan.in_shape == fms.front().shape(),
              "program compiled for a different input shape");
   check_fast_stripe_invariant(plan);
-
-  const FastConvArtifacts art = fast_conv_artifacts(acc_.config(), conv);
-  const core::FastConvWeights& fw =
-      conv.fastw.decoded() ? conv.fastw : art.local;
+  check_fast_conv(conv);
   const auto images = static_cast<std::int64_t>(fms.size());
 
   run.reset_stats();
@@ -692,9 +590,10 @@ void Runtime::fast_conv_batch_inplace(std::vector<pack::TiledFm>& fms,
     run.batches += static_cast<int>(stripe.chunks.size() * fms.size());
   // The engine re-runs every chunk's instructions once per image (weights
   // stay staged), so both cycles and work counters scale linearly.
-  run.cycles = art.cycles * static_cast<std::uint64_t>(images);
+  run.cycles = conv.predicted_cycles * static_cast<std::uint64_t>(images);
   run.cycles_predicted = true;
-  for (std::int64_t img = 0; img < images; ++img) run.counters += art.counters;
+  for (std::int64_t img = 0; img < images; ++img)
+    run.counters += conv.predicted;
 
   // Outputs land in recycled storage; the final swap hands the old input
   // maps back as the staging pool the next layer's outputs draw from, so a
@@ -714,7 +613,7 @@ void Runtime::fast_conv_batch_inplace(std::vector<pack::TiledFm>& fms,
       scratch_ins_.push_back(&fms[i0 + i]);
       scratch_outs_.push_back(&batch_out_fms_[i0 + i]);
     }
-    fast_exec_conv(scratch_ins_.data(), static_cast<int>(n), fw, conv,
+    fast_exec_conv(scratch_ins_.data(), static_cast<int>(n), conv.fastw, conv,
                    scratch_outs_.data(), run.fast);
   }
   fms.swap(batch_out_fms_);
@@ -728,36 +627,25 @@ void Runtime::fast_fused_pad_conv(const pack::TiledFm& input,
                                   LayerRun& conv_run) {
   TSCA_CHECK(layout.raw == input.shape(),
              "fused layout compiled for a different input shape");
-  // Compile-time callers (NetworkProgram) arrive with decoded weights and
-  // predictions; the compile-per-call wrapper builds both here.
-  ConvProgram conv_local;
-  FusedPadConvLayout layout_local;
-  const ConvProgram* cp = &conv;
-  const FusedPadConvLayout* lp = &layout;
-  if (!conv.fastw.decoded() || layout.predicted_conv_cycles == 0) {
-    conv_local = conv;
-    layout_local = layout;
-    fill_fused_predictions(acc_.config(), conv_local, layout_local);
-    cp = &conv_local;
-    lp = &layout_local;
-  }
+  check_fast_fused(conv, layout);
 
   pad_run.reset_stats();
   conv_run.reset_stats();
-  output = pack::TiledFm(lp->out);
+  output = pack::TiledFm(layout.out);
   // The PAD batch never materializes on the host: fast_conv_padded lays the
   // raw pixels shifted into its input planes, bit-identical to padding a
   // TiledFm first.  Fused layers are unstriped by construction — no row
   // bands to fan out — so this stays a direct serial call.
   const pack::TiledFm* in = &input;
   pack::TiledFm* out = &output;
-  core::fast_conv_padded(&in, 1, cp->fastw, cp->bias, cp->rq, lp->pad.top,
-                         lp->pad.left, &out, 0, output.tiles_y(),
+  core::fast_conv_padded(&in, 1, conv.fastw, conv.bias, conv.rq,
+                         layout.pad.top, layout.pad.left, &out, 0,
+                         output.tiles_y(),
                          &conv_run.fast, &fast_scratch_);
 
   pad_run.on_accelerator = true;
   pad_run.kind = nn::LayerKind::kPad;
-  pad_run.cycles = lp->predicted_pad_cycles;
+  pad_run.cycles = layout.predicted_pad_cycles;
   pad_run.cycles_predicted = true;
   pad_run.stripes = 1;
   pad_run.batches = 1;
@@ -765,12 +653,12 @@ void Runtime::fast_fused_pad_conv(const pack::TiledFm& input,
 
   conv_run.on_accelerator = true;
   conv_run.kind = nn::LayerKind::kConv;
-  conv_run.cycles = lp->predicted_conv_cycles;
+  conv_run.cycles = layout.predicted_conv_cycles;
   conv_run.cycles_predicted = true;
-  conv_run.macs = cp->macs;
+  conv_run.macs = conv.macs;
   conv_run.stripes = 1;
   conv_run.batches = 1;
-  conv_run.counters = lp->predicted;
+  conv_run.counters = layout.predicted;
   finish_layer(conv_run);
 }
 
@@ -778,8 +666,7 @@ void Runtime::fast_fused_pad_conv_batch(std::vector<pack::TiledFm>& fms,
                                         const ConvProgram& conv,
                                         const FusedPadConvLayout& layout,
                                         LayerRun& pad_run, LayerRun& conv_run) {
-  TSCA_CHECK(conv.fastw.decoded() && layout.predicted_conv_cycles != 0,
-             "batched fused fast path needs a compiled program");
+  check_fast_fused(conv, layout);
   const auto images = static_cast<std::int64_t>(fms.size());
   for (const pack::TiledFm& fm : fms)
     TSCA_CHECK(layout.raw == fm.shape(),
@@ -1306,16 +1193,6 @@ BatchNetworkRun Runtime::run_network_batch(const NetworkProgram& program,
       result.requests[i].final_fm = pack::from_tiled(fms[i]);
   }
   return result;
-}
-
-NetworkRun Runtime::run_network(const nn::Network& net,
-                                const quant::QuantizedModel& model,
-                                const nn::FeatureMapI8& input) {
-  ProgramOptions popts;
-  popts.fuse_pad_conv = options_.fuse_pad_conv;
-  const NetworkProgram program =
-      NetworkProgram::compile(net, model, acc_.config(), popts);
-  return run_network(program, input);
 }
 
 }  // namespace tsca::driver

@@ -52,11 +52,6 @@ inline hls::Mode engine_mode(ExecMode mode) {
 struct RuntimeOptions {
   ExecMode mode = ExecMode::kCycle;
   bool keep_activations = false;  // return every layer's feature map
-  // Fuse PAD directly into the following CONV batch when both fit on chip
-  // unstriped: the padded map never round-trips through DDR (the banks
-  // persist between instructions).  Falls back to separate execution when
-  // striping is needed.
-  bool fuse_pad_conv = true;
   // Observability (both null by default = disabled, near-zero overhead).
   // `trace` records per-layer / per-stripe / per-batch spans and DMA
   // transfers in simulated cycles; `metrics` aggregates counters and layer
@@ -177,8 +172,10 @@ class Runtime {
   //
   // These entry points consume precompiled artifacts (driver/program.hpp):
   // no packing, planning, or fusion decisions happen on the request path.
-  // Virtual: the pool runtime (pool_runtime.hpp) dispatches the stripes
-  // onto worker threads instead of the serial loops here.
+  // ExecMode::kFast refuses an artifact its compiler did not finish (no
+  // decoded weights, predictions or fast pool plans) instead of deriving
+  // them per call.  Virtual: the pool runtime (pool_runtime.hpp) dispatches
+  // the stripes onto worker threads instead of the serial loops here.
 
   // Executes one compiled convolution over an already-padded input feature
   // map.  Returns the output map; fills `run` with statistics.
@@ -204,8 +201,8 @@ class Runtime {
                                           LayerRun& run);
 
   // Executes PAD and the following convolution as one instruction batch with
-  // the padded map living only on chip, against a layout proved to fit by
-  // plan_fused_pad_conv (`conv.plan` is unused — fused layers are unstriped).
+  // the padded map living only on chip, against a compile_fused_pad_conv
+  // result (`conv.plan` is unused — fused layers are unstriped).
   void run_fused_pad_conv(const pack::TiledFm& input, const ConvProgram& conv,
                           const FusedPadConvLayout& layout,
                           pack::TiledFm& output, LayerRun& pad_run,
@@ -241,63 +238,14 @@ class Runtime {
   // context.
   virtual void ensure_program_staged(const NetworkProgram& program);
 
-  // Marks a program image some other runtime already wrote to this DDR as
-  // resident (PoolRuntime::serve hands staged contexts to per-request serial
-  // runtimes this way, so requests never re-write the image).
+  // Marks a program image something else already wrote to this DDR as
+  // resident (serving workers hand their staged contexts to their runtimes
+  // this way, so batches never re-write the image).
   void adopt_staged_program(std::uint64_t stamp, std::uint64_t ddr_floor);
-
-  // --- Compile-on-the-fly wrappers (back compat) ----------------------
-  //
-  // Same signatures the runtime exposed before the compile/execute split;
-  // each compiles the per-layer artifact and delegates to the program
-  // overloads above (so pool dispatch still applies).  Bit-identical
-  // statistics: compilation performs no simulated work.
-
-  pack::TiledFm run_conv(const pack::TiledFm& input,
-                         const pack::PackedFilters& packed,
-                         const std::vector<std::int32_t>& bias,
-                         const nn::Requant& rq, LayerRun& run);
-
-  // Executes a PAD (win=1, stride=1, offset=−pad) or POOL layer.
-  pack::TiledFm run_pad_pool(const pack::TiledFm& input, core::Opcode op,
-                             const nn::FmShape& out_shape, int win, int stride,
-                             int offset_y, int offset_x, LayerRun& run);
-
-  std::vector<pack::TiledFm> run_conv_batch(
-      const std::vector<pack::TiledFm>& inputs,
-      const pack::PackedFilters& packed,
-      const std::vector<std::int32_t>& bias, const nn::Requant& rq,
-      LayerRun& run);
-
-  // Lowers a fully-connected layer to a 1x1 convolution over a 1x1 feature
-  // map (in_dim channels -> out_dim channels) and runs it on the
-  // accelerator.  This is the experiment the paper declined to run: with one
-  // valid value per 16-value tile the datapath utilization is capped at
-  // 1/16, which is why FC layers stay on the ARM (§III-A).  Returns the
-  // logits; `run` records the (poor) cycle counts for the ablation bench.
-  std::vector<std::int8_t> run_fc_as_conv(
-      const std::vector<std::int8_t>& input,
-      const std::vector<std::int8_t>& weights,  // row-major [out][in]
-      const std::vector<std::int32_t>& bias, int out_dim,
-      const nn::Requant& rq, LayerRun& run);
-
-  // Fit-checks the fusion and executes it; returns false (doing nothing)
-  // when PAD + CONV do not fit on chip unstriped.
-  bool run_fused_pad_conv(const pack::TiledFm& input, const nn::Padding& pad,
-                          const pack::PackedFilters& packed,
-                          const std::vector<std::int32_t>& bias,
-                          const nn::Requant& rq, pack::TiledFm& output,
-                          LayerRun& pad_run, LayerRun& conv_run);
-
-  // Compiles the network (NetworkProgram::compile, honouring
-  // options_.fuse_pad_conv) and executes it once.
-  NetworkRun run_network(const nn::Network& net,
-                         const quant::QuantizedModel& model,
-                         const nn::FeatureMapI8& input);
 
   // Simulated-cycle timeline position for tracing: each accelerator layer
   // advances it by the layer's cycles, so successive layer spans lay end to
-  // end.  The pool runtime round-trips this through per-request runtimes.
+  // end.  Serving workers carry it across batches in their context.
   std::uint64_t trace_clock() const { return trace_clock_; }
   void set_trace_clock(std::uint64_t cycles) { trace_clock_ = cycles; }
 
@@ -377,8 +325,7 @@ class Runtime {
   // Batch-major fused pad+conv: all images share each weight walk in lane
   // groups of kFastBatchLanes (per-image outputs identical to serial runs);
   // pad_run/conv_run aggregate the per-image predictions exactly like the
-  // serial per-image fold.  Requires a compile-time program (decoded fast
-  // weights and filled predictions).
+  // serial per-image fold.
   void fast_fused_pad_conv_batch(std::vector<pack::TiledFm>& fms,
                                  const ConvProgram& conv,
                                  const FusedPadConvLayout& layout,

@@ -51,14 +51,11 @@ std::vector<Pending> BatchScheduler::next_batch() {
     if (batch.empty()) return {};  // queue closed
 
     const TimePoint now = Clock::now();
-    const TimePoint horizon =
-        now + std::chrono::microseconds(policy_.min_slack_us);
     std::vector<Pending> live;
     live.reserve(batch.size());
     for (Pending& p : batch) {
       p.dispatched = now;
-      // kNoDeadline (TimePoint::max) never compares below the horizon.
-      if (policy_.cancel_expired && p.request.deadline < horizon) {
+      if (should_shed(policy_, p.request, now)) {
         complete_expired(p, now, metrics_, trace_, epoch_);
         continue;
       }

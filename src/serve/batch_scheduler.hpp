@@ -57,6 +57,18 @@ class BatchScheduler {
   TimePoint epoch_;
 };
 
+// The shed rule, stated once: with shedding on, a request whose deadline
+// falls before now + min_slack_us cannot finish in time, so it is shed
+// rather than executed.  kNoDeadline (TimePoint::max) never qualifies.
+// next_batch applies it at dispatch and the Server's workers again at their
+// last-chance pass.
+inline bool should_shed(const BatchPolicy& policy, const Request& request,
+                        TimePoint now) {
+  return policy.cancel_expired &&
+         request.deadline <
+             now + std::chrono::microseconds(policy.min_slack_us);
+}
+
 // Completes a pending request as expired-before-execution: kDeadlineMissed
 // response with pre-execution latency only, the deadline-miss/shed counters,
 // and (when `trace` is given) a "shed" span on the serve/requests track.

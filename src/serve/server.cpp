@@ -10,19 +10,9 @@
 
 namespace tsca::serve {
 
-Server::Server(const driver::NetworkProgram& program, ServerOptions options)
-    : program_(&program),
-      options_(options),
-      metrics_(options.metrics != nullptr ? options.metrics : &own_metrics_),
-      epoch_(Clock::now()),
-      queue_(options.queue_capacity, options.fair_share),
-      scheduler_(queue_, options.batch, *metrics_, options.trace, epoch_) {
-  start(program.config());
-}
-
 Server::Server(driver::ProgramRegistry& registry, std::string default_model,
                ServerOptions options)
-    : registry_(&registry),
+    : registry_(registry),
       default_model_(std::move(default_model)),
       // Lease the default model for the server's lifetime: it compiles here
       // (startup, never request latency) and can never be evicted out from
@@ -33,11 +23,6 @@ Server::Server(driver::ProgramRegistry& registry, std::string default_model,
       epoch_(Clock::now()),
       queue_(options.queue_capacity, options.fair_share),
       scheduler_(queue_, options.batch, *metrics_, options.trace, epoch_) {
-  program_ = &default_handle_.program();
-  start(registry.config());
-}
-
-void Server::start(const core::ArchConfig& cfg) {
   TSCA_CHECK(options_.workers >= 1, "workers=" << options_.workers);
   // Pin the kernel backend the fast path will serve with into the metrics
   // (as "serve.simd.<name>" = lane width), so a metrics dump names the
@@ -60,14 +45,14 @@ void Server::start(const core::ArchConfig& cfg) {
   sm_.exec_us = &metrics_->histogram("serve.exec_us");
   sm_.arena_bytes = &metrics_->histogram("serve.worker.arena_bytes");
   sm_.scratch_bytes = &metrics_->histogram("serve.worker.scratch_bytes");
-  // Stage the startup program's weight image into every worker context up
+  // Stage the default model's weight image into every worker context up
   // front: part of server startup, never of any request's latency.
   contexts_.reserve(static_cast<std::size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
     contexts_.push_back(std::make_unique<driver::AcceleratorPool::Context>(
-        cfg, options_.dram_bytes));
+        registry.config(), options_.dram_bytes));
     contexts_.back()->worker = w;
-    stage_program_in_context(*contexts_.back(), *program_);
+    stage_program_in_context(*contexts_.back(), program());
   }
   threads_.reserve(contexts_.size());
   for (int w = 0; w < options_.workers; ++w)
@@ -96,13 +81,9 @@ std::uint64_t Server::admit(nn::FeatureMapI8 input, const SubmitOptions& opts,
   metrics_->counter("serve.submitted").add(1);
 
   // Model routing, resolved here at admission so every queued request
-  // carries a concrete id and batches stay single-model.  A single-program
-  // server knows no model names at all — any non-empty id is unknown.
-  std::string model_id = opts.model_id;
-  if (registry_ != nullptr && model_id.empty()) model_id = default_model_;
-  const bool unknown = registry_ != nullptr ? !registry_->has_model(model_id)
-                                            : !model_id.empty();
-  if (unknown) {
+  // carries a concrete id and batches stay single-model.
+  std::string model_id = opts.model_id.empty() ? default_model_ : opts.model_id;
+  if (!registry_.has_model(model_id)) {
     Response r;
     r.id = id;
     r.status = Status::kRejectedUnknownModel;
@@ -250,7 +231,7 @@ void Server::worker_loop(int w) {
   // warm path): its scratch arenas — conv planes, recycled feature maps, FC
   // double buffers — grow to the program's largest layer once, presized
   // below, and every subsequent batch reuses them.  The runtime adopts the
-  // residency start() staged into this worker's context.
+  // residency the constructor staged into this worker's context.
   driver::RuntimeOptions ropts;
   ropts.mode = options_.mode;
   ropts.trace = options_.trace;
@@ -260,7 +241,7 @@ void Server::worker_loop(int w) {
   driver::Runtime runtime(ctx.acc, ctx.dram, ctx.dma, ropts);
   runtime.adopt_staged_program(ctx.staged_stamp, ctx.ddr_floor);
   runtime.set_trace_clock(ctx.trace_clock);
-  runtime.reserve_warm_scratch(*program_, options_.batch.max_batch);
+  runtime.reserve_warm_scratch(program(), options_.batch.max_batch);
   WorkerState state;
   for (;;) {
     std::vector<Pending> batch = scheduler_.next_batch();
@@ -280,8 +261,6 @@ void Server::execute_batch(int w, driver::AcceleratorPool::Context& ctx,
   const bool client_cancels =
       cancel_mark_count_.load(std::memory_order_relaxed) > 0;
   if (options_.batch.cancel_expired || client_cancels) {
-    const TimePoint horizon =
-        exec_start + std::chrono::microseconds(options_.batch.min_slack_us);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Pending& p = batch[i];
@@ -296,7 +275,7 @@ void Server::execute_batch(int w, driver::AcceleratorPool::Context& ctx,
         complete(p, std::move(r));
         continue;
       }
-      if (options_.batch.cancel_expired && p.request.deadline < horizon) {
+      if (should_shed(options_.batch, p.request, exec_start)) {
         complete_expired(p, exec_start, *metrics_, options_.trace, epoch_);
         continue;
       }
@@ -307,34 +286,31 @@ void Server::execute_batch(int w, driver::AcceleratorPool::Context& ctx,
     if (batch.empty()) return;
   }
 
-  // Registry mode: lease the batch's program (the queue guarantees the batch
-  // is single-model) and restage this worker's context when the staged stamp
+  // Lease the batch's program (the queue guarantees the batch is
+  // single-model) and restage this worker's context when the staged stamp
   // differs — first touch of the model on this worker, or a recompile after
   // eviction invalidated what was resident.  An acquire failure (a model
   // evicted from the registry's catalog is impossible today, but a budget
   // infeasibility is not) fails the batch, never the server.
   driver::ProgramHandle lease;
-  const driver::NetworkProgram* program = program_;
-  if (registry_ != nullptr) {
-    try {
-      lease = registry_->acquire(batch.front().request.model_id);
-    } catch (...) {
-      metrics_->counter("serve.exec_errors").add(1);
-      for (Pending& p : batch) complete_error(p, std::current_exception());
-      return;
-    }
-    program = &lease.program();
-    if (ctx.staged_stamp != program->stamp()) {
-      stage_program_in_context(ctx, *program);
-      metrics_->counter("serve.model_restage").add(1);
-      // A model switch also re-sizes the warm scratch (no-op when this
-      // program is smaller than anything the runtime has already served).
-      runtime.reserve_warm_scratch(*program, options_.batch.max_batch);
-    }
-    // The persistent runtime must track whichever residency the context
-    // holds before it runs this batch's program.
-    runtime.adopt_staged_program(ctx.staged_stamp, ctx.ddr_floor);
+  try {
+    lease = registry_.acquire(batch.front().request.model_id);
+  } catch (...) {
+    metrics_->counter("serve.exec_errors").add(1);
+    for (Pending& p : batch) complete_error(p, std::current_exception());
+    return;
   }
+  const driver::NetworkProgram& program = lease.program();
+  if (ctx.staged_stamp != program.stamp()) {
+    stage_program_in_context(ctx, program);
+    metrics_->counter("serve.model_restage").add(1);
+    // A model switch also re-sizes the warm scratch (no-op when this
+    // program is smaller than anything the runtime has already served).
+    runtime.reserve_warm_scratch(program, options_.batch.max_batch);
+  }
+  // The persistent runtime must track whichever residency the context
+  // holds before it runs this batch's program.
+  runtime.adopt_staged_program(ctx.staged_stamp, ctx.ddr_floor);
 
   // Whatever happens below — success, stop()-cancellation, a budget
   // abort, a typed validation error — the context must absorb the
@@ -378,7 +354,7 @@ void Server::execute_batch(int w, driver::AcceleratorPool::Context& ctx,
     for (const Pending& p : batch) inputs.push_back(&p.request.input);
 
     try {
-      result = runtime.run_network_batch(*program, inputs.data(),
+      result = runtime.run_network_batch(program, inputs.data(),
                                          inputs.size());
       break;
     } catch (const driver::RequestCancelled&) {
@@ -441,20 +417,18 @@ void Server::execute_batch(int w, driver::AcceleratorPool::Context& ctx,
     r.latency.exec_us = us_between(exec_start, exec_end);
     const bool late = exec_end > p.request.deadline;
     r.status = late ? Status::kDeadlineMissed : Status::kOk;
-    // All through handles resolved at start() or cached on the class/model's
+    // All through handles resolved at startup or cached on the class/model's
     // first completion — the warm path assembles no metric names.
     ReqMetrics& cls = class_metrics(state, p.request.priority);
     (late ? sm_.deadline_missed : sm_.completed)->add(1);
     (late ? cls.deadline_missed : cls.completed)->add(1);
     if (late) sm_.late_executions->add(1);
     sm_.executed->add(1);
-    if (!p.request.model_id.empty()) {
-      // Per-model serving metrics: registry-mode requests always carry a
-      // concrete id (admission resolves empty submits to the default).
-      ReqMetrics& mdl = model_metrics(state, p.request.model_id);
-      (late ? mdl.deadline_missed : mdl.completed)->add(1);
-      mdl.latency_us->observe(r.latency.total_us());
-    }
+    // Per-model serving metrics: admission resolved every request to a
+    // concrete model id.
+    ReqMetrics& mdl = model_metrics(state, p.request.model_id);
+    (late ? mdl.deadline_missed : mdl.completed)->add(1);
+    mdl.latency_us->observe(r.latency.total_us());
     sm_.latency_us->observe(r.latency.total_us());
     cls.latency_us->observe(r.latency.total_us());
     sm_.queued_us->observe(r.latency.queued_us);

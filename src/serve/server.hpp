@@ -1,5 +1,5 @@
-// Inference server over one compiled NetworkProgram — or, in registry mode,
-// over a driver::ProgramRegistry of many models routed by request model_id.
+// Inference server over a driver::ProgramRegistry: requests are routed by
+// model_id to compiled NetworkPrograms (one model or many).
 //
 // The serving pipeline end to end: submit() admits a request into the
 // bounded RequestQueue (or rejects it immediately — queue full / shutdown /
@@ -7,7 +7,7 @@
 // coalesces queued requests into dynamic batches (strict priority across
 // SLO classes, EDF within a class, expired requests shed before execution),
 // and N worker threads each own a private accelerator context
-// (AcceleratorPool::Context with the program's weight image staged once at
+// (AcceleratorPool::Context with the default model's weight image staged at
 // startup) and execute batches through Runtime::run_network_batch —
 // ExecMode::kFast by default, the cycle engine selectable for
 // statistics-grade serving.
@@ -74,20 +74,16 @@ struct ServerOptions {
 
 class Server {
  public:
-  // Compiles nothing: the program must outlive the server.  Stages its
-  // weight image into every worker context before any worker starts.
-  Server(const driver::NetworkProgram& program, ServerOptions options = {});
-
-  // Registry mode — multi-model serving.  Requests are routed by
-  // SubmitOptions::model_id (empty picks `default_model`); unknown ids are
-  // rejected at admission with Status::kRejectedUnknownModel.  Batches are
-  // single-model (the queue never mixes models into one batch); a worker
-  // leases the batch's program from the registry and restages its context
-  // when the staged stamp differs (first touch, or a recompile after
-  // eviction).  The default model is acquired for the server's lifetime, so
-  // it can never be evicted out from under program().  The registry must
-  // outlive the server.  Throws UnknownModelError when `default_model` was
-  // never added.
+  // Requests are routed by SubmitOptions::model_id (empty picks
+  // `default_model`); unknown ids are rejected at admission with
+  // Status::kRejectedUnknownModel.  Batches are single-model (the queue
+  // never mixes models into one batch); a worker leases the batch's program
+  // from the registry and restages its context when the staged stamp
+  // differs (first touch, or a recompile after eviction).  The default model
+  // is acquired for the server's lifetime — compiled and staged into every
+  // worker context before any worker starts — so it can never be evicted
+  // out from under program().  The registry must outlive the server.
+  // Throws UnknownModelError when `default_model` was never added.
   Server(driver::ProgramRegistry& registry, std::string default_model,
          ServerOptions options = {});
   ~Server();  // stop()
@@ -122,11 +118,11 @@ class Server {
   void stop();
 
   obs::MetricsRegistry& metrics() { return *metrics_; }
-  // Single-program mode: the construction program.  Registry mode: the
-  // default model's program (pinned by a held lease for the server's life).
-  const driver::NetworkProgram& program() const { return *program_; }
-  // Null in single-program mode.
-  driver::ProgramRegistry* registry() const { return registry_; }
+  // The default model's program (pinned by a held lease for the server's
+  // life).
+  const driver::NetworkProgram& program() const {
+    return default_handle_.program();
+  }
   const std::string& default_model() const { return default_model_; }
   const ServerOptions& options() const { return options_; }
   TimePoint epoch() const { return epoch_; }
@@ -152,9 +148,9 @@ class Server {
     std::unordered_map<std::string, ReqMetrics> models;
   };
 
-  // Fixed serving metrics, resolved once at start(): handles are stable for
-  // the registry's lifetime, so the per-request completion path is pure
-  // atomic adds.
+  // Fixed serving metrics, resolved once at construction: handles are
+  // stable for the registry's lifetime, so the per-request completion path
+  // is pure atomic adds.
   struct ServeMetrics {
     obs::Counter* completed = nullptr;
     obs::Counter* deadline_missed = nullptr;
@@ -170,9 +166,6 @@ class Server {
     obs::Histogram* scratch_bytes = nullptr;
   };
 
-  // Shared constructor tail: builds the worker contexts (program_ must be
-  // set), stages the startup program into each, launches the workers.
-  void start(const core::ArchConfig& cfg);
   void worker_loop(int w);
   // Builds the Pending, stamps id/times, admits it into the queue and
   // completes it on the spot when rejected/evicting.
@@ -189,17 +182,13 @@ class Server {
   // Consumes a pending client-cancel mark for `id`.
   bool take_cancel_mark(std::uint64_t id);
 
-  // Exactly one mode: program_ always points at a live program (the legacy
-  // reference, or the default model's leased program); registry_ is null in
-  // single-program mode.
-  const driver::NetworkProgram* program_ = nullptr;
-  driver::ProgramRegistry* registry_ = nullptr;
+  driver::ProgramRegistry& registry_;
   std::string default_model_;
   driver::ProgramHandle default_handle_;
   ServerOptions options_;
   obs::MetricsRegistry own_metrics_;
   obs::MetricsRegistry* metrics_;  // options_.metrics or &own_metrics_
-  ServeMetrics sm_;                // resolved against *metrics_ in start()
+  ServeMetrics sm_;                // resolved against *metrics_ at startup
   TimePoint epoch_;
   RequestQueue queue_;
   BatchScheduler scheduler_;

@@ -69,7 +69,10 @@ TEST_P(ConvMatrix, MatchesInt8Reference) {
   driver::Runtime runtime(acc, dram, dma, {.mode = mode});
   driver::LayerRun run;
   const pack::TiledFm out = runtime.run_conv(
-      pack::to_tiled(input), pack::pack_filters(filters), bias, rq, run);
+      pack::to_tiled(input),
+      driver::compile_conv(acc.config(), input.shape(),
+                           pack::pack_filters(filters), bias, rq),
+      run);
   const nn::FeatureMapI8 actual = pack::from_tiled(out);
 
   ASSERT_EQ(actual.shape(), expected.shape());
@@ -131,8 +134,10 @@ TEST_P(PoolMatrix, MatchesInt8Reference) {
   driver::Runtime runtime(acc, dram, dma, {.mode = mode});
   driver::LayerRun run;
   const pack::TiledFm out = runtime.run_pad_pool(
-      pack::to_tiled(input), core::Opcode::kPool, expected.shape(), case_.win,
-      case_.stride, 0, 0, run);
+      pack::to_tiled(input),
+      driver::compile_pool(acc.config(), input.shape(), expected.shape(),
+                           core::Opcode::kPool, case_.win, case_.stride, 0, 0),
+      run);
   const nn::FeatureMapI8 actual = pack::from_tiled(out);
 
   ASSERT_EQ(actual.shape(), expected.shape());
@@ -175,8 +180,10 @@ TEST_P(PadMatrix, MatchesInt8Reference) {
   driver::Runtime runtime(acc, dram, dma, {.mode = mode});
   driver::LayerRun run;
   const pack::TiledFm out = runtime.run_pad_pool(
-      pack::to_tiled(input), core::Opcode::kPad, expected.shape(), 1, 1,
-      -pad.top, -pad.left, run);
+      pack::to_tiled(input),
+      driver::compile_pool(acc.config(), input.shape(), expected.shape(),
+                           core::Opcode::kPad, 1, 1, -pad.top, -pad.left),
+      run);
   const nn::FeatureMapI8 actual = pack::from_tiled(out);
 
   ASSERT_EQ(actual.shape(), expected.shape());
@@ -221,7 +228,10 @@ TEST(ConvStriping, TinyBanksForceStripesAndChunksExactResult) {
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun run;
   const pack::TiledFm out = runtime.run_conv(
-      pack::to_tiled(input), pack::pack_filters(filters), bias, rq, run);
+      pack::to_tiled(input),
+      driver::compile_conv(cfg, input.shape(), pack::pack_filters(filters),
+                           bias, rq),
+      run);
   EXPECT_GT(run.stripes, 1);
   EXPECT_EQ(pack::from_tiled(out), expected);
 }
@@ -246,7 +256,10 @@ TEST(ZeroSkip, SparseLayerRunsFasterThanDense) {
     driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
     driver::LayerRun run;
     const pack::TiledFm out = runtime.run_conv(
-        pack::to_tiled(input), pack::pack_filters(filters), bias, rq, run);
+        pack::to_tiled(input),
+        driver::compile_conv(acc.config(), input.shape(),
+                             pack::pack_filters(filters), bias, rq),
+        run);
     EXPECT_EQ(pack::from_tiled(out), nn::conv2d_i8(input, filters, bias, 1, rq));
     return run.cycles;
   };

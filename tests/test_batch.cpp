@@ -49,7 +49,10 @@ TEST_P(BatchedConv, EveryImageMatchesReference) {
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun run;
   const std::vector<pack::TiledFm> outputs = runtime.run_conv_batch(
-      tiled, pack::pack_filters(filters), bias, rq, run);
+      tiled,
+      driver::compile_conv(cfg, tiled.front().shape(),
+                           pack::pack_filters(filters), bias, rq),
+      run);
 
   ASSERT_EQ(outputs.size(), images.size());
   for (int i = 0; i < kBatch; ++i)
@@ -85,13 +88,15 @@ TEST(BatchedConv, AmortizesWeightDmaAcrossImages) {
     sim::Dram dram(64u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
+    const driver::ConvProgram conv =
+        driver::compile_conv(cfg, tiled.front().shape(), packed, bias, rq);
     if (batched) {
       driver::LayerRun run;
-      runtime.run_conv_batch(tiled, packed, bias, rq, run);
+      runtime.run_conv_batch(tiled, conv, run);
     } else {
       for (const pack::TiledFm& image : tiled) {
         driver::LayerRun run;
-        runtime.run_conv(image, packed, bias, rq, run);
+        runtime.run_conv(image, conv, run);
       }
     }
     return dma.stats().bytes_to_fpga;

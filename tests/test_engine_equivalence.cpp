@@ -94,7 +94,9 @@ driver::NetworkRun run_stack(const RandomStack& stack, driver::ExecMode mode) {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma,
                           {.mode = mode, .keep_activations = true});
-  return runtime.run_network(stack.net, stack.model, stack.input);
+  return runtime.run_network(
+      driver::NetworkProgram::compile(stack.net, stack.model, cfg),
+      stack.input);
 }
 
 class EngineEquivalence : public ::testing::TestWithParam<int> {};
@@ -303,8 +305,9 @@ TEST(EngineEquivalence, SixteenUnoptVariantAlsoAgrees) {
     sim::Dram dram(32u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = mode});
-    const driver::NetworkRun run =
-        runtime.run_network(stack.net, stack.model, stack.input);
+    const driver::NetworkRun run = runtime.run_network(
+        driver::NetworkProgram::compile(stack.net, stack.model, cfg),
+        stack.input);
     EXPECT_EQ(run.final_fm, ref.back().fm)
         << driver::exec_mode_name(mode) << " mode";
   }

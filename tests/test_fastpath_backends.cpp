@@ -321,6 +321,8 @@ TEST_P(FastStripeWorkers, FastConvMatchesSerial) {
 
   core::ArchConfig cfg = core::ArchConfig::k256_opt();
   cfg.bank_words = 128;  // small banks force stripes
+  const driver::ConvProgram conv =
+      driver::compile_conv(cfg, input.shape(), packed, bias, rq);
 
   core::Accelerator acc(cfg);
   sim::Dram dram(32u << 20);
@@ -328,14 +330,14 @@ TEST_P(FastStripeWorkers, FastConvMatchesSerial) {
   driver::Runtime serial(acc, dram, dma, {.mode = driver::ExecMode::kFast});
   driver::LayerRun serial_run;
   const pack::TiledFm serial_out =
-      serial.run_conv(input, packed, bias, rq, serial_run);
+      serial.run_conv(input, conv, serial_run);
   ASSERT_GT(serial_run.stripes, 1);
 
   driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
   driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kFast});
   driver::LayerRun pooled_run;
   const pack::TiledFm pooled_out =
-      pooled.run_conv(input, packed, bias, rq, pooled_run);
+      pooled.run_conv(input, conv, pooled_run);
 
   EXPECT_EQ(serial_out, pooled_out);
   expect_same_fast_run(serial_run, pooled_run);
@@ -354,6 +356,8 @@ TEST_P(FastStripeWorkers, FastConvBatchMatchesSerial) {
 
   core::ArchConfig cfg = core::ArchConfig::k256_opt();
   cfg.bank_words = 128;
+  const driver::ConvProgram conv =
+      driver::compile_conv(cfg, images.front().shape(), packed, bias, rq);
 
   core::Accelerator acc(cfg);
   sim::Dram dram(32u << 20);
@@ -361,13 +365,13 @@ TEST_P(FastStripeWorkers, FastConvBatchMatchesSerial) {
   driver::Runtime serial(acc, dram, dma, {.mode = driver::ExecMode::kFast});
   driver::LayerRun serial_run;
   const std::vector<pack::TiledFm> serial_out =
-      serial.run_conv_batch(images, packed, bias, rq, serial_run);
+      serial.run_conv_batch(images, conv, serial_run);
 
   driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
   driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kFast});
   driver::LayerRun pooled_run;
   const std::vector<pack::TiledFm> pooled_out =
-      pooled.run_conv_batch(images, packed, bias, rq, pooled_run);
+      pooled.run_conv_batch(images, conv, pooled_run);
 
   ASSERT_EQ(serial_out.size(), pooled_out.size());
   for (int i = 0; i < kBatch; ++i)
@@ -384,6 +388,8 @@ TEST_P(FastStripeWorkers, FastPoolMatchesSerial) {
 
   core::ArchConfig cfg = core::ArchConfig::k256_opt();
   cfg.bank_words = 128;
+  const driver::PoolPlan plan = driver::compile_pool(
+      cfg, image.shape(), out_shape, core::Opcode::kPool, 2, 2, 0, 0);
 
   core::Accelerator acc(cfg);
   sim::Dram dram(32u << 20);
@@ -391,15 +397,13 @@ TEST_P(FastStripeWorkers, FastPoolMatchesSerial) {
   driver::Runtime serial(acc, dram, dma, {.mode = driver::ExecMode::kFast});
   driver::LayerRun serial_run;
   const pack::TiledFm serial_out =
-      serial.run_pad_pool(pack::to_tiled(image), core::Opcode::kPool,
-                          out_shape, 2, 2, 0, 0, serial_run);
+      serial.run_pad_pool(pack::to_tiled(image), plan, serial_run);
 
   driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
   driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kFast});
   driver::LayerRun pooled_run;
   const pack::TiledFm pooled_out =
-      pooled.run_pad_pool(pack::to_tiled(image), core::Opcode::kPool,
-                          out_shape, 2, 2, 0, 0, pooled_run);
+      pooled.run_pad_pool(pack::to_tiled(image), plan, pooled_run);
 
   EXPECT_EQ(serial_out, pooled_out);
   expect_same_fast_run(serial_run, pooled_run);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/accelerator.hpp"
+#include "driver/program.hpp"
 #include "driver/runtime.hpp"
 #include "nn/vgg16.hpp"
 #include "quant/quantize.hpp"
@@ -43,12 +44,15 @@ TEST(FusedPadConv, MatchesUnfusedResultBitExactly) {
   sim::Dram dram(32u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
+  const std::optional<driver::FusedPadConv> fused =
+      driver::compile_fused_pad_conv(cfg, input.shape(), pad,
+                                     pack::pack_filters(filters), bias, rq);
+  ASSERT_TRUE(fused.has_value());
   driver::LayerRun pad_run;
   driver::LayerRun conv_run;
   pack::TiledFm out;
-  ASSERT_TRUE(runtime.run_fused_pad_conv(pack::to_tiled(input), pad,
-                                         pack::pack_filters(filters), bias,
-                                         rq, out, pad_run, conv_run));
+  runtime.run_fused_pad_conv(pack::to_tiled(input), fused->conv,
+                             fused->layout, out, pad_run, conv_run);
   EXPECT_EQ(pack::from_tiled(out), expected);
   EXPECT_GT(pad_run.cycles, 0u);
   EXPECT_GT(conv_run.cycles, 0u);
@@ -69,21 +73,28 @@ TEST(FusedPadConv, SavesDmaTrafficVersusSeparateExecution) {
     sim::Dram dram(32u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
+    const pack::PackedFilters packed = pack::pack_filters(filters);
     if (fused) {
+      const std::optional<driver::FusedPadConv> f =
+          driver::compile_fused_pad_conv(cfg, input.shape(), pad, packed,
+                                         bias, rq);
+      EXPECT_TRUE(f.has_value());
       driver::LayerRun pad_run;
       driver::LayerRun conv_run;
       pack::TiledFm out;
-      EXPECT_TRUE(runtime.run_fused_pad_conv(pack::to_tiled(input), pad,
-                                             pack::pack_filters(filters),
-                                             bias, rq, out, pad_run,
-                                             conv_run));
+      runtime.run_fused_pad_conv(pack::to_tiled(input), f->conv, f->layout,
+                                 out, pad_run, conv_run);
     } else {
       driver::LayerRun r1;
       driver::LayerRun r2;
       const pack::TiledFm padded = runtime.run_pad_pool(
-          pack::to_tiled(input), core::Opcode::kPad,
-          {8, 18, 18}, 1, 1, -1, -1, r1);
-      runtime.run_conv(padded, pack::pack_filters(filters), bias, rq, r2);
+          pack::to_tiled(input),
+          driver::compile_pool(cfg, input.shape(), {8, 18, 18},
+                               core::Opcode::kPad, 1, 1, -1, -1),
+          r1);
+      runtime.run_conv(
+          padded, driver::compile_conv(cfg, padded.shape(), packed, bias, rq),
+          r2);
     }
     return dma.stats().bytes_to_fpga + dma.stats().bytes_to_dram;
   };
@@ -100,16 +111,11 @@ TEST(FusedPadConv, RefusesWhenItDoesNotFitOnChip) {
   const nn::FilterBankI8 filters = random_filters({8, 8, 3, 3}, 0.5, rng);
   core::ArchConfig cfg = core::ArchConfig::k256_opt();
   cfg.bank_words = 256;  // too small for raw + padded + ofm + weights
-  core::Accelerator acc(cfg);
-  sim::Dram dram(32u << 20);
-  sim::DmaEngine dma(dram);
-  driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-  driver::LayerRun a;
-  driver::LayerRun b;
-  pack::TiledFm out;
-  EXPECT_FALSE(runtime.run_fused_pad_conv(
-      pack::to_tiled(input), nn::Padding::uniform(1),
-      pack::pack_filters(filters), {}, nn::Requant{}, out, a, b));
+  EXPECT_FALSE(driver::compile_fused_pad_conv(cfg, input.shape(),
+                                              nn::Padding::uniform(1),
+                                              pack::pack_filters(filters), {},
+                                              nn::Requant{})
+                   .has_value());
 }
 
 TEST(FusedPadConv, NetworkRunFusionMatchesUnfusedNetworkRun) {
@@ -132,9 +138,11 @@ TEST(FusedPadConv, NetworkRunFusionMatchesUnfusedNetworkRun) {
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(
         acc, dram, dma,
-        {.mode = driver::ExecMode::kCycle, .keep_activations = true,
-         .fuse_pad_conv = fuse});
-    return runtime.run_network(net, model, input);
+        {.mode = driver::ExecMode::kCycle, .keep_activations = true});
+    return runtime.run_network(
+        driver::NetworkProgram::compile(net, model, cfg,
+                                        {.fuse_pad_conv = fuse}),
+        input);
   };
   const driver::NetworkRun fused = run_with(true);
   const driver::NetworkRun plain = run_with(false);

@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstring>
 #include <future>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,9 +47,10 @@ nn::FeatureMapI8 random_fm(nn::FmShape shape, Rng& rng) {
   return fm;
 }
 
-// One tiny VGG-16 compiled once and shared by every test in this binary.
+// One tiny VGG-16 in a one-model registry, compiled once and shared by every
+// test in this binary.
 struct SharedModel {
-  SharedModel() {
+  SharedModel() : registry(core::ArchConfig::k256_opt()) {
     Rng rng(601);
     net = nn::build_vgg16(
         {.input_extent = 32, .channel_divisor = 16, .num_classes = 10});
@@ -60,28 +60,31 @@ struct SharedModel {
     for (std::size_t i = 0; i < calib.size(); ++i)
       calib.data()[i] = static_cast<float>(rng.next_gaussian() * 0.4);
     model = quant::quantize_network(net, weights, {calib});
-    program.emplace(driver::NetworkProgram::compile(
-        net, model, core::ArchConfig::k256_opt()));
+    registry.add_model("vgg", net, model, /*pinned=*/true);
+    lease = registry.acquire("vgg");
   }
+
+  const driver::NetworkProgram& program() const { return lease.program(); }
 
   nn::Network net{nn::FmShape{}};
   quant::QuantizedModel model;
-  std::optional<driver::NetworkProgram> program;
+  driver::ProgramRegistry registry;
+  driver::ProgramHandle lease;  // keeps the compiled program resident
 };
 
-const SharedModel& shared_model() {
+SharedModel& shared_model() {
   static SharedModel* m = new SharedModel();
   return *m;
 }
 
 std::vector<std::int8_t> direct_logits(const nn::FeatureMapI8& input) {
-  const SharedModel& m = shared_model();
-  core::Accelerator acc(m.program->config());
+  SharedModel& m = shared_model();
+  core::Accelerator acc(m.program().config());
   sim::Dram dram(64u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma,
                           {.mode = driver::ExecMode::kFast});
-  return runtime.run_network(*m.program, input).logits;
+  return runtime.run_network(m.program(), input).logits;
 }
 
 // A raw loopback socket for speaking deliberately hostile bytes at the
@@ -248,11 +251,11 @@ TEST(NetProtocol, OversizeModelIdRejectedBothDirections) {
 // --- Socket end-to-end -------------------------------------------------
 
 TEST(NetServe, EndToEndBitExactOverSocket) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(604);
   serve::ServerOptions opts;
   opts.workers = 2;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
   serve::NetServer net(server);
   ASSERT_GT(net.port(), 0);
   serve::NetClient client("127.0.0.1", net.port());
@@ -279,10 +282,10 @@ TEST(NetServe, EndToEndBitExactOverSocket) {
 }
 
 TEST(NetServe, LoadGeneratorDrivesTheSocketPath) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   serve::ServerOptions opts;
   opts.workers = 2;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
   serve::NetServer net(server);
   serve::NetClient client("127.0.0.1", net.port());
 
@@ -299,11 +302,11 @@ TEST(NetServe, LoadGeneratorDrivesTheSocketPath) {
 }
 
 TEST(NetServe, BadShapeComesBackAsErrorResponse) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(605);
   nn::FmShape bad = m.net.input_shape();
   bad.c += 1;
-  serve::Server server(*m.program, {});
+  serve::Server server(m.registry, "vgg", {});
   serve::NetServer net(server);
   serve::NetClient client("127.0.0.1", net.port());
 
@@ -321,14 +324,14 @@ TEST(NetServe, BadShapeComesBackAsErrorResponse) {
 }
 
 TEST(NetServe, WireCancelRemovesQueuedRequest) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(606);
   serve::ServerOptions opts;
   opts.workers = 1;
   opts.mode = driver::ExecMode::kCycle;  // slow head pins the worker
   opts.batch.max_batch = 1;
   opts.batch.max_queue_delay_us = 0;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
   serve::NetServer net(server);
   serve::NetClient client("127.0.0.1", net.port());
 
@@ -355,9 +358,9 @@ TEST(NetServe, WireCancelRemovesQueuedRequest) {
 }
 
 TEST(NetServe, MetricsEndpointServesPrometheusMatchingRegistry) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(607);
-  serve::Server server(*m.program, {});
+  serve::Server server(m.registry, "vgg", {});
   serve::NetServer net(server);
   serve::NetClient client("127.0.0.1", net.port());
 
@@ -388,9 +391,9 @@ TEST(NetServe, MetricsEndpointServesPrometheusMatchingRegistry) {
 }
 
 TEST(NetServe, MalformedFrameDropsConnectionNotServer) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(608);
-  serve::Server server(*m.program, {});
+  serve::Server server(m.registry, "vgg", {});
   serve::NetServer net(server);
 
   // Raw socket speaking garbage: a frame with an unknown type octet.
@@ -421,9 +424,9 @@ TEST(NetServe, MalformedFrameDropsConnectionNotServer) {
 // the connection (ProtocolError → drop), never the process and never the
 // memory — pre-fix this test died with the server on std::terminate.
 TEST(NetServe, HugeClaimedRequestDropsConnectionNotServer) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(611);
-  serve::Server server(*m.program, {});
+  serve::Server server(m.registry, "vgg", {});
   serve::NetServer net(server);
 
   std::vector<std::uint8_t> payload =
@@ -446,12 +449,12 @@ TEST(NetServe, HugeClaimedRequestDropsConnectionNotServer) {
 // cancel routing (the first completion erases the second's cancel mapping);
 // the server rejects the duplicate like any other malformed traffic.
 TEST(NetServe, DuplicateInFlightWireIdDropsConnection) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(612);
   serve::ServerOptions opts;
   opts.workers = 1;
   opts.mode = driver::ExecMode::kCycle;  // slow: the first stays in flight
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
   serve::NetServer net(server);
 
   const int fd = connect_raw(net.port());
@@ -471,9 +474,9 @@ TEST(NetServe, DuplicateInFlightWireIdDropsConnection) {
 // accept loop now reaps finished connections, so churning clients must
 // drive the tracked set back down to the live probe itself.
 TEST(NetServe, FinishedConnectionsAreReaped) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(613);
-  serve::Server server(*m.program, {});
+  serve::Server server(m.registry, "vgg", {});
   serve::NetServer net(server);
 
   for (int i = 0; i < 8; ++i) {
@@ -588,7 +591,7 @@ TEST(NetServe, RoutesMixedModelsOverOneSocket) {
 }
 
 TEST(NetServe, ConnectionsAreDistinctFairShareClients) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(609);
   serve::ServerOptions opts;
   opts.workers = 1;
@@ -596,7 +599,7 @@ TEST(NetServe, ConnectionsAreDistinctFairShareClients) {
   opts.queue_capacity = 2;
   opts.batch.max_batch = 1;
   opts.batch.max_queue_delay_us = 0;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
   serve::NetServer net(server);
   serve::NetClient flooder("127.0.0.1", net.port());
   serve::NetClient newcomer("127.0.0.1", net.port());

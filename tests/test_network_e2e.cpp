@@ -66,7 +66,8 @@ TEST(NetworkE2E, ScaledVgg16MatchesInt8ReferenceCycleMode) {
   driver::Runtime runtime(acc, dram, dma,
                           {.mode = driver::ExecMode::kCycle,
                            .keep_activations = true});
-  const driver::NetworkRun run = runtime.run_network(s.net, s.model, input);
+  const driver::NetworkRun run = runtime.run_network(
+      driver::NetworkProgram::compile(s.net, s.model, test_config()), input);
 
   ASSERT_TRUE(run.flat_output);
   ASSERT_FALSE(ref.empty());
@@ -101,7 +102,8 @@ TEST(NetworkE2E, ThreadAndCycleEnginesAgreeBitExactly) {
     sim::Dram dram(64u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = mode});
-    return runtime.run_network(s.net, s.model, input);
+    return runtime.run_network(
+        driver::NetworkProgram::compile(s.net, s.model, test_config()), input);
   };
   const driver::NetworkRun cycle = run_mode(driver::ExecMode::kCycle);
   const driver::NetworkRun thread = run_mode(driver::ExecMode::kThread);
@@ -118,7 +120,8 @@ TEST(NetworkE2E, QuantizedPipelineTracksFloatOracle) {
   sim::Dram dram(64u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-  const driver::NetworkRun run = runtime.run_network(s.net, s.model, input);
+  const driver::NetworkRun run = runtime.run_network(
+      driver::NetworkProgram::compile(s.net, s.model, test_config()), input);
 
   // Float oracle logits (last FC output, before softmax).
   const std::vector<nn::ActivationF> facts =

@@ -6,12 +6,14 @@
 
 #include <cctype>
 #include <cstdint>
+#include <future>
 #include <string>
 #include <vector>
 
 #include "core/accelerator.hpp"
 #include "driver/accelerator_pool.hpp"
 #include "driver/pool_runtime.hpp"
+#include "driver/program_registry.hpp"
 #include "driver/runtime.hpp"
 #include "nn/vgg16.hpp"
 #include "obs/chrome_trace.hpp"
@@ -20,6 +22,7 @@
 #include "pack/weight_pack.hpp"
 #include "quant/prune.hpp"
 #include "quant/quantize.hpp"
+#include "serve/server.hpp"
 #include "util/rng.hpp"
 
 namespace tsca {
@@ -280,7 +283,8 @@ TEST(ObsEndToEnd, Vgg16PoolRuntimeLayerSpansMatchLayerRuns) {
   driver::AcceleratorPool pool(core::ArchConfig::k256_opt(), {.workers = 4});
   driver::PoolRuntime runtime(
       pool, {.mode = driver::ExecMode::kCycle, .trace = &rec, .metrics = &metrics});
-  const driver::NetworkRun run = runtime.run_network(f.net, f.model, f.input);
+  const driver::NetworkRun run = runtime.run_network(
+      driver::NetworkProgram::compile(f.net, f.model, pool.config()), f.input);
 
   // Per-layer spans, in record order, must mirror the accelerator layers:
   // same count, same durations (== LayerRun.cycles), laid end to end.
@@ -334,10 +338,12 @@ TEST(ObsEndToEnd, Vgg16PoolRuntimeLayerSpansMatchLayerRuns) {
 
 TEST(ObsEndToEnd, TracingDoesNotChangeResults) {
   const Vgg16Fixture f;
+  const driver::NetworkProgram program = driver::NetworkProgram::compile(
+      f.net, f.model, core::ArchConfig::k256_opt());
   driver::AcceleratorPool plain_pool(core::ArchConfig::k256_opt(),
                                      {.workers = 2});
   driver::PoolRuntime plain(plain_pool, {.mode = driver::ExecMode::kCycle});
-  const driver::NetworkRun base = plain.run_network(f.net, f.model, f.input);
+  const driver::NetworkRun base = plain.run_network(program, f.input);
 
   obs::Recorder rec;
   driver::AcceleratorPool traced_pool(core::ArchConfig::k256_opt(),
@@ -345,7 +351,7 @@ TEST(ObsEndToEnd, TracingDoesNotChangeResults) {
   driver::PoolRuntime traced(
       traced_pool,
       {.mode = driver::ExecMode::kCycle, .trace = &rec, .trace_kernels = true});
-  const driver::NetworkRun with = traced.run_network(f.net, f.model, f.input);
+  const driver::NetworkRun with = traced.run_network(program, f.input);
 
   EXPECT_EQ(base.logits, with.logits);
   ASSERT_EQ(base.layers.size(), with.layers.size());
@@ -357,40 +363,45 @@ TEST(ObsEndToEnd, TracingDoesNotChangeResults) {
   EXPECT_GT(rec.event_count(), 0u);
 }
 
+// The serving path accounts every request: one latency observation and one
+// request span each, and the workers' layer spans cover exactly the
+// simulated cycles the runtime counted.
 TEST(ObsEndToEnd, ServeRecordsPerRequestLatency) {
   const Vgg16Fixture f;
   constexpr int kRequests = 3;
-  std::vector<nn::FeatureMapI8> inputs(static_cast<std::size_t>(kRequests),
-                                       f.input);
 
   obs::Recorder rec;
   obs::MetricsRegistry metrics;
-  driver::AcceleratorPool pool(core::ArchConfig::k256_opt(), {.workers = 2});
-  driver::PoolRuntime runtime(
-      pool, {.mode = driver::ExecMode::kCycle, .trace = &rec, .metrics = &metrics});
-  const std::vector<driver::NetworkRun> served =
-      runtime.serve(f.net, f.model, inputs);
-  ASSERT_EQ(served.size(), inputs.size());
+  driver::ProgramRegistry registry(core::ArchConfig::k256_opt());
+  registry.add_model("vgg", f.net, f.model);
+  {
+    serve::Server server(registry, "vgg",
+                         {.workers = 2,
+                          .mode = driver::ExecMode::kCycle,
+                          .trace = &rec,
+                          .metrics = &metrics});
+    std::vector<std::future<serve::Response>> futures;
+    for (int i = 0; i < kRequests; ++i)
+      futures.push_back(server.submit(f.input));
+    for (std::future<serve::Response>& fut : futures)
+      ASSERT_EQ(fut.get().status, serve::Status::kOk);
+  }
 
-  EXPECT_EQ(metrics.counter("serve.requests").value(), kRequests);
-  EXPECT_EQ(metrics.histogram("serve.request_sim_cycles").count(), kRequests);
-  EXPECT_EQ(metrics.histogram("serve.request_wall_us").count(), kRequests);
+  EXPECT_EQ(metrics.counter("serve.executed").value(), kRequests);
+  EXPECT_EQ(metrics.histogram("serve.latency_us").count(), kRequests);
+  EXPECT_EQ(metrics.histogram("serve.model.vgg.latency_us").count(),
+            kRequests);
 
-  // Request spans cover exactly the per-request accelerator cycles.
-  std::int64_t total_cycles = 0;
-  for (const driver::NetworkRun& r : served)
-    for (const driver::LayerRun& lr : r.layers)
-      total_cycles += static_cast<std::int64_t>(lr.cycles);
-  std::int64_t span_cycles = 0;
+  std::int64_t layer_cycles = 0;
   int request_spans = 0;
-  for (const obs::TraceEvent& ev : rec.events())
-    if (ev.category == "request") {
-      span_cycles += static_cast<std::int64_t>(ev.duration);
-      ++request_spans;
-    }
+  for (const obs::TraceEvent& ev : rec.events()) {
+    if (ev.category == "layer")
+      layer_cycles += static_cast<std::int64_t>(ev.duration);
+    if (ev.category == "request") ++request_spans;
+  }
   EXPECT_EQ(request_spans, kRequests);
-  EXPECT_EQ(span_cycles, total_cycles);
-  EXPECT_EQ(metrics.histogram("serve.request_sim_cycles").sum(), total_cycles);
+  EXPECT_GT(layer_cycles, 0);
+  EXPECT_EQ(layer_cycles, metrics.counter("runtime.accel_cycles").value());
 
   const std::string json = obs::chrome_trace_json(rec);
   EXPECT_TRUE(JsonChecker::valid(json));
@@ -416,8 +427,12 @@ TEST(ObsEndToEnd, KernelSpansAccountBusyAndStall) {
                      {.mode = driver::ExecMode::kCycle, .trace = &rec,
                       .trace_kernels = true});
   driver::LayerRun run;
-  rt.run_conv(pack::to_tiled(fm), pack::pack_filters(filters),
-              std::vector<std::int32_t>(8, 1), nn::Requant{.shift = 6}, run);
+  rt.run_conv(pack::to_tiled(fm),
+              driver::compile_conv(acc.config(), fm.shape(),
+                                   pack::pack_filters(filters),
+                                   std::vector<std::int32_t>(8, 1),
+                                   nn::Requant{.shift = 6}),
+              run);
 
   int kernel_spans = 0;
   for (const obs::TraceEvent& ev : rec.events()) {

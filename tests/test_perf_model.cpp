@@ -58,8 +58,10 @@ TEST_P(PerfModelGrid, TracksCycleEngineWithinTolerance) {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun run;
-  runtime.run_conv(pack::to_tiled(input), packed, bias,
-                   nn::Requant{.shift = 6, .relu = true}, run);
+  runtime.run_conv(pack::to_tiled(input),
+                   driver::compile_conv(cfg, p.in, packed, bias,
+                                        nn::Requant{.shift = 6, .relu = true}),
+                   run);
 
   const driver::PerfModel model(cfg);
   const driver::ConvPerf perf = model.conv_layer(p.in, packed);
@@ -107,8 +109,10 @@ TEST(PerfModelPool, TracksCycleEngineForPoolAndPad) {
 
   {
     driver::LayerRun run;
-    runtime.run_pad_pool(pack::to_tiled(input), core::Opcode::kPool,
-                         {8, 8, 8}, 2, 2, 0, 0, run);
+    runtime.run_pad_pool(pack::to_tiled(input),
+                         driver::compile_pool(cfg, {8, 16, 16}, {8, 8, 8},
+                                              core::Opcode::kPool, 2, 2, 0, 0),
+                         run);
     const driver::PoolPerf perf =
         model.pool_layer({8, 16, 16}, {8, 8, 8}, core::Opcode::kPool, 2, 2, 0,
                          0);
@@ -120,8 +124,10 @@ TEST(PerfModelPool, TracksCycleEngineForPoolAndPad) {
   }
   {
     driver::LayerRun run;
-    runtime.run_pad_pool(pack::to_tiled(input), core::Opcode::kPad,
-                         {8, 18, 18}, 1, 1, -1, -1, run);
+    runtime.run_pad_pool(pack::to_tiled(input),
+                         driver::compile_pool(cfg, {8, 16, 16}, {8, 18, 18},
+                                              core::Opcode::kPad, 1, 1, -1, -1),
+                         run);
     const driver::PoolPerf perf = model.pool_layer(
         {8, 16, 16}, {8, 18, 18}, core::Opcode::kPad, 1, 1, -1, -1);
     EXPECT_NEAR(static_cast<double>(perf.cycles) /

@@ -68,19 +68,19 @@ TEST_P(PoolWorkers, ConvMatchesSerial) {
 
   for (const int instances : {1, 2}) {
     const core::ArchConfig cfg = striped_config(instances);
+    const driver::ConvProgram conv =
+        driver::compile_conv(cfg, input.shape(), packed, bias, rq);
     core::Accelerator acc(cfg);
     sim::Dram dram(32u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime serial(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
     driver::LayerRun serial_run;
-    const pack::TiledFm serial_out =
-        serial.run_conv(input, packed, bias, rq, serial_run);
+    const pack::TiledFm serial_out = serial.run_conv(input, conv, serial_run);
 
     driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
     driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kCycle});
     driver::LayerRun pooled_run;
-    const pack::TiledFm pooled_out =
-        pooled.run_conv(input, packed, bias, rq, pooled_run);
+    const pack::TiledFm pooled_out = pooled.run_conv(input, conv, pooled_run);
 
     EXPECT_GT(serial_run.stripes, 1);
     EXPECT_EQ(serial_out, pooled_out) << "instances=" << instances;
@@ -94,21 +94,21 @@ TEST_P(PoolWorkers, MaxPoolMatchesSerial) {
   const nn::FmShape out_shape{8, 7, 7};
 
   const core::ArchConfig cfg = striped_config();
+  const driver::PoolPlan plan = driver::compile_pool(
+      cfg, image.shape(), out_shape, core::Opcode::kPool, 2, 2, 0, 0);
   core::Accelerator acc(cfg);
   sim::Dram dram(32u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime serial(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun serial_run;
   const pack::TiledFm serial_out =
-      serial.run_pad_pool(pack::to_tiled(image), core::Opcode::kPool,
-                          out_shape, 2, 2, 0, 0, serial_run);
+      serial.run_pad_pool(pack::to_tiled(image), plan, serial_run);
 
   driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
   driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun pooled_run;
   const pack::TiledFm pooled_out =
-      pooled.run_pad_pool(pack::to_tiled(image), core::Opcode::kPool,
-                          out_shape, 2, 2, 0, 0, pooled_run);
+      pooled.run_pad_pool(pack::to_tiled(image), plan, pooled_run);
 
   EXPECT_EQ(serial_out, pooled_out);
   expect_same_run(serial_run, pooled_run);
@@ -126,19 +126,21 @@ TEST_P(PoolWorkers, ConvBatchMatchesSerial) {
   const nn::Requant rq{.shift = 6, .relu = true};
 
   const core::ArchConfig cfg = striped_config();
+  const driver::ConvProgram conv =
+      driver::compile_conv(cfg, images.front().shape(), packed, bias, rq);
   core::Accelerator acc(cfg);
   sim::Dram dram(32u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime serial(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun serial_run;
   const std::vector<pack::TiledFm> serial_out =
-      serial.run_conv_batch(images, packed, bias, rq, serial_run);
+      serial.run_conv_batch(images, conv, serial_run);
 
   driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
   driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun pooled_run;
   const std::vector<pack::TiledFm> pooled_out =
-      pooled.run_conv_batch(images, packed, bias, rq, pooled_run);
+      pooled.run_conv_batch(images, conv, pooled_run);
 
   ASSERT_EQ(serial_out.size(), pooled_out.size());
   for (int i = 0; i < kBatch; ++i)
@@ -148,6 +150,9 @@ TEST_P(PoolWorkers, ConvBatchMatchesSerial) {
   expect_same_run(serial_run, pooled_run);
 }
 
+// Image parallelism at network scope: a batch of requests through the pool
+// runtime matches the serial runtime's batch in every request's outputs and
+// every layer's aggregate statistics.
 TEST_P(PoolWorkers, ServeMatchesSerialPerRequest) {
   Rng rng(104);
   nn::Network net = nn::build_vgg16(
@@ -166,33 +171,33 @@ TEST_P(PoolWorkers, ServeMatchesSerialPerRequest) {
     inputs.push_back(random_fm(net.input_shape(), rng));
 
   const core::ArchConfig cfg = core::ArchConfig::k256_opt();
+  const driver::NetworkProgram program =
+      driver::NetworkProgram::compile(net, model, cfg);
   const driver::RuntimeOptions options{.mode = driver::ExecMode::kCycle};
-  std::vector<driver::NetworkRun> serial;
-  for (const nn::FeatureMapI8& input : inputs) {
-    core::Accelerator acc(cfg);
-    sim::Dram dram(64u << 20);
-    sim::DmaEngine dma(dram);
-    driver::Runtime runtime(acc, dram, dma, options);
-    serial.push_back(runtime.run_network(net, model, input));
-  }
+  core::Accelerator acc(cfg);
+  sim::Dram dram(64u << 20);
+  sim::DmaEngine dma(dram);
+  driver::Runtime serial(acc, dram, dma, options);
+  const driver::BatchNetworkRun expected =
+      serial.run_network_batch(program, inputs);
 
   driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
   driver::PoolRuntime pooled(pool, options);
-  const std::vector<driver::NetworkRun> served =
-      pooled.serve(net, model, inputs);
+  const driver::BatchNetworkRun served =
+      pooled.run_network_batch(program, inputs);
 
-  ASSERT_EQ(served.size(), serial.size());
+  ASSERT_EQ(served.requests.size(), expected.requests.size());
   for (int i = 0; i < kRequests; ++i) {
-    const driver::NetworkRun& a = serial[static_cast<std::size_t>(i)];
-    const driver::NetworkRun& b = served[static_cast<std::size_t>(i)];
+    const std::size_t r = static_cast<std::size_t>(i);
+    const driver::NetworkRun& a = expected.requests[r];
+    const driver::NetworkRun& b = served.requests[r];
     EXPECT_EQ(a.flat_output, b.flat_output) << "request " << i;
     EXPECT_EQ(a.logits, b.logits) << "request " << i;
-    ASSERT_EQ(a.layers.size(), b.layers.size());
-    for (std::size_t l = 0; l < a.layers.size(); ++l) {
-      SCOPED_TRACE("request " + std::to_string(i) + " layer " +
-                   a.layers[l].name);
-      expect_same_run(a.layers[l], b.layers[l]);
-    }
+  }
+  ASSERT_EQ(expected.layers.size(), served.layers.size());
+  for (std::size_t l = 0; l < expected.layers.size(); ++l) {
+    SCOPED_TRACE("layer " + expected.layers[l].name);
+    expect_same_run(expected.layers[l], served.layers[l]);
   }
 }
 

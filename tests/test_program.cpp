@@ -1,9 +1,11 @@
 // NetworkProgram compile/execute split: compiling once and executing many
-// times — serially or across pool workers sharing one const program — must be
-// bit-identical to the seed's compile-per-request path in outputs, cycle
-// counts, hardware counters, and DMA statistics.
+// times — serially, across pool workers, or across Server workers sharing
+// one const program — must be bit-identical to a fresh compile per request
+// in outputs, cycle counts, hardware counters, and DMA statistics.
 #include <gtest/gtest.h>
 
+#include <future>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,11 +13,13 @@
 #include "driver/accelerator_pool.hpp"
 #include "driver/pool_runtime.hpp"
 #include "driver/program.hpp"
+#include "driver/program_registry.hpp"
 #include "driver/runtime.hpp"
 #include "nn/vgg16.hpp"
 #include "pack/weight_pack.hpp"
 #include "quant/prune.hpp"
 #include "quant/quantize.hpp"
+#include "serve/server.hpp"
 #include "util/rng.hpp"
 
 namespace tsca {
@@ -122,8 +126,7 @@ TEST(Program, CompileResolvesStepsAndFusion) {
 }
 
 // Compile once, execute N requests on one runtime: every request is
-// bit-identical to a fresh-compile-per-request run on a fresh runtime (the
-// seed's only path).
+// bit-identical to a fresh-compile-per-request run on a fresh runtime.
 TEST(Program, CompileOnceExecuteManyMatchesFreshCompile) {
   Vgg16Fixture fx(302);
   const core::ArchConfig cfg = core::ArchConfig::k256_opt();
@@ -140,7 +143,8 @@ TEST(Program, CompileOnceExecuteManyMatchesFreshCompile) {
     sim::Dram dram(64u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, options);
-    baseline.push_back(runtime.run_network(fx.net, fx.model, input));
+    baseline.push_back(runtime.run_network(
+        driver::NetworkProgram::compile(fx.net, fx.model, cfg), input));
   }
 
   const driver::NetworkProgram program =
@@ -194,175 +198,153 @@ TEST(Program, RestagesWhenProgramsAlternate) {
   expect_same_network_run(base_fused, runtime.run_network(fused, input));
 }
 
-// The packed-filters wrapper and a precompiled ConvProgram produce identical
-// results — including on a striped plan with weight chunks.
-TEST(Program, ConvOverloadsMatch) {
-  Rng rng(304);
+// The compiler fuses a pad into the following conv exactly when the fit
+// check admits the fusion for that shape and config.
+TEST(Program, FusionDecisionMatchesRuntimeCheck) {
+  Rng rng(307);
+  const nn::Padding pad{1, 1, 1, 1};
+  nn::Network net({16, 14, 14});
+  net.add_pad(pad).add_conv({.out_c = 16, .kernel = 3});
+  const nn::WeightsF weights = nn::init_random_weights(net, rng);
+  nn::FeatureMapF calib(net.input_shape());
+  for (std::size_t i = 0; i < calib.size(); ++i)
+    calib.data()[i] = static_cast<float>(rng.next_gaussian() * 0.4);
+  const quant::QuantizedModel model =
+      quant::quantize_network(net, weights, {calib});
+
+  const core::ArchConfig big = core::ArchConfig::k256_opt();
+  core::ArchConfig small = big;
+  small.bank_words = 128;
+  std::vector<bool> fused;
+  for (const core::ArchConfig& cfg : {big, small}) {
+    const driver::WeightImage wimg(pack::pack_filters(model.weights.conv[1]),
+                                   cfg.lanes, cfg.group);
+    const bool fits =
+        driver::plan_fused_pad_conv(cfg, net.input_shape(), pad, 3, 16, wimg)
+            .has_value();
+    const driver::NetworkProgram program =
+        driver::NetworkProgram::compile(net, model, cfg);
+    fused.push_back(program.steps().front().exec ==
+                    driver::NetworkProgram::Step::Exec::kFusedPadConv);
+    EXPECT_EQ(fits, fused.back()) << "bank_words=" << cfg.bank_words;
+  }
+  EXPECT_NE(fused[0], fused[1]) << "one config should fuse, the other not";
+}
+
+// ExecMode::kFast executes what the compiler finished and nothing else: a
+// pad/pool plan without its decoded fast plans, or a conv or fusion without
+// decoded weights, is refused rather than re-derived on every call.  The
+// compiled forms of the same layers run.
+TEST(Program, FastPathRefusesUnfinishedArtifacts) {
+  Rng rng(310);
+  const core::ArchConfig cfg = striped_config();
   const pack::TiledFm input = pack::to_tiled(random_fm({16, 28, 28}, rng));
   const pack::PackedFilters packed =
       pack::pack_filters(random_filters({16, 16, 3, 3}, 0.5, rng));
   const std::vector<std::int32_t> bias(16, -4);
   const nn::Requant rq{.shift = 6, .relu = true};
-  const core::ArchConfig cfg = striped_config();
+  const nn::FmShape pooled_shape{16, 14, 14};
 
-  driver::LayerRun legacy_run;
-  pack::TiledFm legacy_out;
-  {
-    core::Accelerator acc(cfg);
-    sim::Dram dram(32u << 20);
-    sim::DmaEngine dma(dram);
-    driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-    legacy_out = runtime.run_conv(input, packed, bias, rq, legacy_run);
-  }
+  core::Accelerator acc(cfg);
+  sim::Dram dram(32u << 20);
+  sim::DmaEngine dma(dram);
+  driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kFast});
+  driver::AcceleratorPool pool(cfg, {.workers = 2});
+  driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kFast});
+  driver::LayerRun run;
 
-  const driver::ConvProgram conv =
+  const driver::PoolPlan bare_plan = driver::plan_pool(
+      cfg, input.shape(), pooled_shape, core::Opcode::kPool, 2, 2, 0, 0);
+  ASSERT_TRUE(bare_plan.fastp.empty());
+  EXPECT_THROW(runtime.run_pad_pool(input, bare_plan, run), Error);
+  EXPECT_THROW(pooled.run_pad_pool(input, bare_plan, run), Error);
+
+  driver::ConvProgram bare_conv =
       driver::compile_conv(cfg, input.shape(), packed, bias, rq);
-  core::Accelerator acc(cfg);
-  sim::Dram dram(32u << 20);
-  sim::DmaEngine dma(dram);
-  driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-  for (int rep = 0; rep < 2; ++rep) {
-    SCOPED_TRACE("rep " + std::to_string(rep));
-    driver::LayerRun run;
-    EXPECT_EQ(legacy_out, runtime.run_conv(input, conv, run));
-    expect_same_run(legacy_run, run);
-  }
-}
+  bare_conv.fastw = core::FastConvWeights{};
+  EXPECT_THROW(runtime.run_conv(input, bare_conv, run), Error);
+  EXPECT_THROW(pooled.run_conv(input, bare_conv, run), Error);
+  EXPECT_THROW(runtime.run_conv_batch({input, input}, bare_conv, run), Error);
 
-// Batched convolution through a precompiled program matches the wrapper.
-TEST(Program, ConvBatchOverloadsMatch) {
-  Rng rng(305);
-  std::vector<pack::TiledFm> images;
-  for (int i = 0; i < 4; ++i)
-    images.push_back(pack::to_tiled(random_fm({16, 28, 28}, rng)));
-  const pack::PackedFilters packed =
-      pack::pack_filters(random_filters({16, 16, 3, 3}, 0.5, rng));
-  const std::vector<std::int32_t> bias(16, 3);
-  const nn::Requant rq{.shift = 6, .relu = true};
-  const core::ArchConfig cfg = striped_config();
-
-  driver::LayerRun legacy_run;
-  std::vector<pack::TiledFm> legacy_out;
-  {
-    core::Accelerator acc(cfg);
-    sim::Dram dram(32u << 20);
-    sim::DmaEngine dma(dram);
-    driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-    legacy_out = runtime.run_conv_batch(images, packed, bias, rq, legacy_run);
-  }
-
-  const driver::ConvProgram conv =
-      driver::compile_conv(cfg, images.front().shape(), packed, bias, rq);
-  core::Accelerator acc(cfg);
-  sim::Dram dram(32u << 20);
-  sim::DmaEngine dma(dram);
-  driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-  driver::LayerRun run;
-  EXPECT_EQ(legacy_out, runtime.run_conv_batch(images, conv, run));
-  expect_same_run(legacy_run, run);
-}
-
-// FC lowering through compile_fc_conv matches the raw-weights wrapper.
-TEST(Program, FcAsConvOverloadsMatch) {
-  Rng rng(306);
-  constexpr int kIn = 64, kOut = 10;
-  std::vector<std::int8_t> input(kIn), weights(kIn * kOut);
-  for (auto& v : input) v = static_cast<std::int8_t>(rng.next_int(-40, 40));
-  for (auto& v : weights) v = static_cast<std::int8_t>(rng.next_int(-15, 15));
-  const std::vector<std::int32_t> bias(kOut, 2);
-  const nn::Requant rq{.shift = 7, .relu = false};
-  const core::ArchConfig cfg = core::ArchConfig::k256_opt();
-
-  driver::LayerRun legacy_run;
-  std::vector<std::int8_t> legacy_logits;
-  {
-    core::Accelerator acc(cfg);
-    sim::Dram dram(32u << 20);
-    sim::DmaEngine dma(dram);
-    driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-    legacy_logits =
-        runtime.run_fc_as_conv(input, weights, bias, kOut, rq, legacy_run);
-  }
-
-  const driver::ConvProgram fc_conv =
-      driver::compile_fc_conv(cfg, kIn, kOut, weights, bias, rq);
-  core::Accelerator acc(cfg);
-  sim::Dram dram(32u << 20);
-  sim::DmaEngine dma(dram);
-  driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-  driver::LayerRun run;
-  EXPECT_EQ(legacy_logits, runtime.run_fc_as_conv(input, fc_conv, run));
-  expect_same_run(legacy_run, run);
-}
-
-// The compile-time fusion decision matches what the run-time fit check
-// decides for the same shapes and config.
-TEST(Program, FusionDecisionMatchesRuntimeCheck) {
-  Rng rng(307);
   const core::ArchConfig big = core::ArchConfig::k256_opt();
-  core::ArchConfig small = big;
-  small.bank_words = 128;
+  std::optional<driver::FusedPadConv> fused = driver::compile_fused_pad_conv(
+      big, input.shape(), nn::Padding::uniform(1), packed, bias, rq);
+  ASSERT_TRUE(fused.has_value());
+  fused->conv.fastw = core::FastConvWeights{};
+  core::Accelerator big_acc(big);
+  driver::Runtime big_runtime(big_acc, dram, dma,
+                              {.mode = driver::ExecMode::kFast});
+  driver::LayerRun pad_run;
+  pack::TiledFm out;
+  EXPECT_THROW(big_runtime.run_fused_pad_conv(input, fused->conv,
+                                              fused->layout, out, pad_run,
+                                              run),
+               Error);
 
-  const pack::TiledFm input = pack::to_tiled(random_fm({16, 14, 14}, rng));
-  const pack::PackedFilters packed =
-      pack::pack_filters(random_filters({16, 16, 3, 3}, 0.5, rng));
-  const nn::Padding pad{1, 1, 1, 1};
-
-  for (const core::ArchConfig& cfg : {big, small}) {
-    const driver::WeightImage wimg(packed, cfg.lanes, cfg.group);
-    const bool planned =
-        driver::plan_fused_pad_conv(cfg, input.shape(), pad, 3, 16, wimg)
-            .has_value();
-
-    core::Accelerator acc(cfg);
-    sim::Dram dram(32u << 20);
-    sim::DmaEngine dma(dram);
-    driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-    driver::LayerRun pad_run, conv_run;
-    pack::TiledFm output;
-    const bool ran = runtime.run_fused_pad_conv(
-        input, pad, packed, std::vector<std::int32_t>(16, 0),
-        nn::Requant{.shift = 6, .relu = true}, output, pad_run, conv_run);
-    EXPECT_EQ(planned, ran) << "bank_words=" << cfg.bank_words;
-  }
+  EXPECT_NO_THROW(runtime.run_pad_pool(
+      input,
+      driver::compile_pool(cfg, input.shape(), pooled_shape,
+                           core::Opcode::kPool, 2, 2, 0, 0),
+      run));
+  EXPECT_NO_THROW(runtime.run_conv(
+      input, driver::compile_conv(cfg, input.shape(), packed, bias, rq), run));
 }
 
-// Pool workers share one const NetworkProgram.  Exercised under TSan by the
-// sanitize-thread tier-1 configuration; results stay bit-identical to fresh
+// Workers share one const NetworkProgram: Server workers serving it, and
+// PoolRuntime workers splitting its stripes.  Exercised under TSan by the
+// sanitize-thread tier-1 configuration; results stay bit-identical to
 // serial runtimes for every worker count.
 class ProgramPoolWorkers : public ::testing::TestWithParam<int> {};
 
+// Every request's logits, and the simulated cycles the Server's workers
+// record in total, match serial batch-of-one runs of the same program.
 TEST_P(ProgramPoolWorkers, ServeSharedProgramMatchesSerial) {
   Vgg16Fixture fx(308);
   const core::ArchConfig cfg = core::ArchConfig::k256_opt();
-  const driver::RuntimeOptions options{.mode = driver::ExecMode::kCycle};
 
   constexpr int kRequests = 6;
   std::vector<nn::FeatureMapI8> inputs;
   for (int i = 0; i < kRequests; ++i)
     inputs.push_back(random_fm(fx.net.input_shape(), fx.rng));
 
-  std::vector<driver::NetworkRun> baseline;
-  for (const nn::FeatureMapI8& input : inputs) {
+  const driver::NetworkProgram program =
+      driver::NetworkProgram::compile(fx.net, fx.model, cfg);
+  std::vector<std::vector<std::int8_t>> expected;
+  std::int64_t expected_cycles = 0;
+  {
     core::Accelerator acc(cfg);
     sim::Dram dram(64u << 20);
     sim::DmaEngine dma(dram);
-    driver::Runtime runtime(acc, dram, dma, options);
-    baseline.push_back(runtime.run_network(fx.net, fx.model, input));
+    driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
+    for (const nn::FeatureMapI8& input : inputs) {
+      const driver::BatchNetworkRun run =
+          runtime.run_network_batch(program, {input});
+      expected.push_back(run.requests.front().logits);
+      for (const driver::LayerRun& lr : run.layers)
+        expected_cycles += static_cast<std::int64_t>(lr.cycles);
+    }
   }
 
-  const driver::NetworkProgram program =
-      driver::NetworkProgram::compile(fx.net, fx.model, cfg);
-  driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
-  driver::PoolRuntime pooled(pool, options);
-  const std::vector<driver::NetworkRun> served = pooled.serve(program, inputs);
-
-  ASSERT_EQ(served.size(), baseline.size());
-  for (int i = 0; i < kRequests; ++i) {
-    SCOPED_TRACE("request " + std::to_string(i));
-    expect_same_network_run(baseline[static_cast<std::size_t>(i)],
-                            served[static_cast<std::size_t>(i)]);
+  driver::ProgramRegistry registry(cfg);
+  registry.add_model("vgg", fx.net, fx.model);
+  obs::MetricsRegistry metrics;
+  {
+    serve::Server server(registry, "vgg",
+                         {.workers = GetParam(),
+                          .batch = {.max_batch = 1},
+                          .mode = driver::ExecMode::kCycle,
+                          .metrics = &metrics});
+    std::vector<std::future<serve::Response>> futures;
+    for (const nn::FeatureMapI8& input : inputs)
+      futures.push_back(server.submit(input));
+    for (int i = 0; i < kRequests; ++i) {
+      const serve::Response r = futures[static_cast<std::size_t>(i)].get();
+      ASSERT_EQ(r.status, serve::Status::kOk) << "request " << i;
+      EXPECT_EQ(r.logits, expected[static_cast<std::size_t>(i)])
+          << "request " << i;
+    }
   }
+  EXPECT_EQ(metrics.counter("runtime.accel_cycles").value(), expected_cycles);
 }
 
 TEST_P(ProgramPoolWorkers, PooledStripedLayersShareProgram) {

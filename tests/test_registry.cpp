@@ -282,7 +282,7 @@ TEST(RegistryLowering, ToyKindCompilesThroughScopedRegistration) {
   driver::ScopedLowering guard(kToyKind, [](driver::LoweringContext& ctx) {
     driver::NetworkProgram::Step step;
     step.exec = driver::NetworkProgram::Step::Exec::kPadPool;
-    step.pool = ctx.add_pool(driver::plan_pool(
+    step.pool = ctx.add_pool(driver::compile_pool(
         ctx.cfg(), ctx.fm, ctx.fm, core::Opcode::kPool, 1, 1, 0, 0));
     ctx.push_step(step);
   });

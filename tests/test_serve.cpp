@@ -41,10 +41,11 @@ nn::FeatureMapI8 random_fm(nn::FmShape shape, Rng& rng) {
   return fm;
 }
 
-// One tiny VGG-16 compiled once and shared by every test (compilation is the
-// expensive part; the program is immutable, sharing is the whole point).
+// One tiny VGG-16 in a one-model registry, compiled once and shared by every
+// test (compilation is the expensive part; the program is immutable,
+// sharing is the whole point).
 struct SharedModel {
-  SharedModel() {
+  SharedModel() : registry(core::ArchConfig::k256_opt()) {
     Rng rng(501);
     net = nn::build_vgg16(
         {.input_extent = 32, .channel_divisor = 16, .num_classes = 10});
@@ -54,28 +55,31 @@ struct SharedModel {
     for (std::size_t i = 0; i < calib.size(); ++i)
       calib.data()[i] = static_cast<float>(rng.next_gaussian() * 0.4);
     model = quant::quantize_network(net, weights, {calib});
-    program.emplace(driver::NetworkProgram::compile(
-        net, model, core::ArchConfig::k256_opt()));
+    registry.add_model("vgg", net, model, /*pinned=*/true);
+    lease = registry.acquire("vgg");
   }
+
+  const driver::NetworkProgram& program() const { return lease.program(); }
 
   nn::Network net{nn::FmShape{}};
   quant::QuantizedModel model;
-  std::optional<driver::NetworkProgram> program;
+  driver::ProgramRegistry registry;
+  driver::ProgramHandle lease;  // keeps the compiled program resident
 };
 
-const SharedModel& shared_model() {
+SharedModel& shared_model() {
   static SharedModel* m = new SharedModel();
   return *m;
 }
 
 std::vector<std::int8_t> direct_logits(const nn::FeatureMapI8& input) {
-  const SharedModel& m = shared_model();
-  core::Accelerator acc(m.program->config());
+  SharedModel& m = shared_model();
+  core::Accelerator acc(m.program().config());
   sim::Dram dram(64u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma,
                           {.mode = driver::ExecMode::kFast});
-  return runtime.run_network(*m.program, input).logits;
+  return runtime.run_network(m.program(), input).logits;
 }
 
 // --- run_network_batch (driver layer) ---------------------------------
@@ -87,7 +91,7 @@ std::vector<std::int8_t> direct_logits(const nn::FeatureMapI8& input) {
 // run_conv_batch path where the amortization lives — on the full-size config
 // this net's convs all fuse and execute per image.
 TEST(ServeBatchRun, BitExactAndWeightAmortized) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(502);
   constexpr int kBatch = 3;
   std::vector<nn::FeatureMapI8> inputs;
@@ -144,18 +148,18 @@ TEST(ServeBatchRun, BitExactAndWeightAmortized) {
 
 // Cooperative cancellation: a raised flag aborts run_network between steps.
 TEST(ServeBatchRun, CancelFlagAbortsExecution) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(503);
   const nn::FeatureMapI8 input = random_fm(m.net.input_shape(), rng);
 
-  core::Accelerator acc(m.program->config());
+  core::Accelerator acc(m.program().config());
   sim::Dram dram(64u << 20);
   sim::DmaEngine dma(dram);
   std::atomic<bool> cancel{true};  // pre-raised: aborts at the first step
   driver::Runtime runtime(
       acc, dram, dma,
       {.mode = driver::ExecMode::kFast, .cancel = &cancel});
-  EXPECT_THROW(runtime.run_network(*m.program, input),
+  EXPECT_THROW(runtime.run_network(m.program(), input),
                driver::RequestCancelled);
 }
 
@@ -374,7 +378,7 @@ TEST(ServeQueue, PopWaitReanchorsFlushWindowAfterConcurrentSteal) {
 // --- Server ------------------------------------------------------------
 
 TEST(ServeServer, ExecutesBitExactAgainstSerialRuntime) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(504);
   constexpr int kRequests = 4;
   std::vector<nn::FeatureMapI8> inputs;
@@ -383,7 +387,7 @@ TEST(ServeServer, ExecutesBitExactAgainstSerialRuntime) {
 
   serve::ServerOptions opts;
   opts.workers = 2;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
   std::vector<std::future<serve::Response>> futures;
   for (const nn::FeatureMapI8& input : inputs)
     futures.push_back(server.submit(input));
@@ -405,7 +409,7 @@ TEST(ServeServer, ExecutesBitExactAgainstSerialRuntime) {
 }
 
 TEST(ServeServer, CoalescesBurstsIntoDynamicBatches) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(505);
   constexpr int kRequests = 8;
 
@@ -413,7 +417,7 @@ TEST(ServeServer, CoalescesBurstsIntoDynamicBatches) {
   opts.workers = 1;
   opts.batch.max_batch = 4;
   opts.batch.max_queue_delay_us = 20000;  // long window: the burst coalesces
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   std::vector<std::future<serve::Response>> futures;
   for (int i = 0; i < kRequests; ++i)
@@ -432,7 +436,7 @@ TEST(ServeServer, CoalescesBurstsIntoDynamicBatches) {
 }
 
 TEST(ServeServer, QueueFullRejectsWithReasonUnderOverload) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(506);
 
   serve::ServerOptions opts;
@@ -442,7 +446,7 @@ TEST(ServeServer, QueueFullRejectsWithReasonUnderOverload) {
   // The formation window out-waits the submission burst below, so the queue
   // is deterministically still full when the extra submissions arrive.
   opts.batch.max_queue_delay_us = 200000;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   constexpr int kRequests = 8;
   std::vector<std::future<serve::Response>> futures;
@@ -466,7 +470,7 @@ TEST(ServeServer, QueueFullRejectsWithReasonUnderOverload) {
 }
 
 TEST(ServeServer, ExpiredRequestsAreShedBeforeExecution) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(507);
 
   serve::ServerOptions opts;
@@ -474,7 +478,7 @@ TEST(ServeServer, ExpiredRequestsAreShedBeforeExecution) {
   opts.mode = driver::ExecMode::kCycle;  // slow on purpose: requests pile up
   opts.batch.max_batch = 1;
   opts.batch.max_queue_delay_us = 0;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   // Request 0 occupies the worker for a full cycle-accurate network pass
   // (tens of ms); the 1ms-deadline requests submitted *while it executes*
@@ -506,13 +510,13 @@ TEST(ServeServer, ExpiredRequestsAreShedBeforeExecution) {
 // shed-races-execution-start path with max_queue_delay 0: the scheduler and
 // the worker's last-chance check both see an expired request immediately.
 TEST(ServeServer, AlreadyExpiredDeadlineNeverExecutes) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(508);
 
   serve::ServerOptions opts;
   opts.workers = 1;
   opts.batch.max_queue_delay_us = 0;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   const serve::Response r =
       server.submit(random_fm(m.net.input_shape(), rng), 0).get();
@@ -521,7 +525,7 @@ TEST(ServeServer, AlreadyExpiredDeadlineNeverExecutes) {
 }
 
 TEST(ServeServer, StopCompletesEveryInFlightAndQueuedRequest) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(509);
 
   serve::ServerOptions opts;
@@ -529,7 +533,7 @@ TEST(ServeServer, StopCompletesEveryInFlightAndQueuedRequest) {
   opts.mode = driver::ExecMode::kCycle;  // slow: stop lands mid-execution
   opts.batch.max_batch = 2;
   opts.batch.max_queue_delay_us = 0;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   constexpr int kRequests = 6;
   std::vector<std::future<serve::Response>> futures;
@@ -556,14 +560,14 @@ TEST(ServeServer, StopCompletesEveryInFlightAndQueuedRequest) {
 }
 
 TEST(ServeServer, RecordsServeSpansForEveryRequest) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(510);
 
   obs::Recorder recorder;
   serve::ServerOptions opts;
   opts.workers = 1;
   opts.trace = &recorder;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
   constexpr int kRequests = 3;
   std::vector<std::future<serve::Response>> futures;
   for (int i = 0; i < kRequests; ++i)
@@ -593,14 +597,14 @@ TEST(ServeServer, RecordsServeSpansForEveryRequest) {
 // the clock); the spans on the worker's layer track must stay disjoint and
 // monotonic across the failure.
 TEST(ServeServer, WorkerClockPersistsWhenBatchThrowsMidRun) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(511);
   obs::Recorder recorder;
   serve::ServerOptions opts;
   opts.workers = 1;
   opts.trace = &recorder;
   opts.batch.max_queue_delay_us = 0;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   EXPECT_EQ(server.submit(random_fm(m.net.input_shape(), rng)).get().status,
             serve::Status::kOk);
@@ -635,13 +639,13 @@ TEST(ServeServer, WorkerClockPersistsWhenBatchThrowsMidRun) {
 // every batch it landed in.  Only the budget-setting request may fail; the
 // survivors re-run and complete with correct logits.
 TEST(ServeServer, BudgetAbortDoesNotPoisonCoBatchedNeighbors) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(515);
   serve::ServerOptions opts;
   opts.workers = 1;
   opts.batch.max_batch = 4;
   opts.batch.max_queue_delay_us = 50000;  // the burst coalesces into a batch
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   const nn::FeatureMapI8 a = random_fm(m.net.input_shape(), rng);
   const nn::FeatureMapI8 b = random_fm(m.net.input_shape(), rng);
@@ -670,7 +674,7 @@ TEST(ServeServer, BudgetAbortDoesNotPoisonCoBatchedNeighbors) {
 // exactly once — futures rethrow the original error, callbacks get a
 // kError response with the reason.
 TEST(ServeServer, ExecutionErrorReachesEverySubmitterExactlyOnce) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(512);
   nn::FmShape bad = m.net.input_shape();
   bad.c += 1;  // shape validation rejects the whole batch up front
@@ -679,7 +683,7 @@ TEST(ServeServer, ExecutionErrorReachesEverySubmitterExactlyOnce) {
   opts.workers = 1;
   opts.batch.max_batch = 4;
   opts.batch.max_queue_delay_us = 50000;  // the burst coalesces
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   std::vector<std::future<serve::Response>> futures;
   for (int i = 0; i < 3; ++i)
@@ -710,14 +714,14 @@ TEST(ServeServer, ExecutionErrorReachesEverySubmitterExactlyOnce) {
 // kNoDeadline requests must never be shed or marked late, even under a
 // feasibility horizon that sheds every finite deadline on sight.
 TEST(ServeServer, NoDeadlineRequestsAreNeverShed) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(513);
   serve::ServerOptions opts;
   opts.workers = 1;
   opts.batch.max_queue_delay_us = 0;
   opts.batch.cancel_expired = true;
   opts.batch.min_slack_us = 3600LL * 1000 * 1000;  // 1h horizon
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   // Sanity: a generous finite deadline is still inside the 1h horizon, so
   // the feasibility shed fires for it...
@@ -740,14 +744,14 @@ TEST(ServeServer, NoDeadlineRequestsAreNeverShed) {
 // Client-initiated cancellation: a still-queued request completes as
 // kCancelled without executing; cancelling a finished request is a no-op.
 TEST(ServeServer, CancelRemovesQueuedRequest) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(514);
   serve::ServerOptions opts;
   opts.workers = 1;
   opts.mode = driver::ExecMode::kCycle;  // slow head pins the worker
   opts.batch.max_batch = 1;
   opts.batch.max_queue_delay_us = 0;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   std::future<serve::Response> head =
       server.submit(random_fm(m.net.input_shape(), rng));
@@ -773,7 +777,7 @@ TEST(ServeServer, CancelRemovesQueuedRequest) {
 // client out of a full queue — the newcomer evicts the flooder's most
 // expendable entry, which completes as kRejectedQuota.
 TEST(ServeServer, FairShareAdmitsSecondClientUnderFlood) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   Rng rng(515);
   serve::ServerOptions opts;
   opts.workers = 1;
@@ -781,7 +785,7 @@ TEST(ServeServer, FairShareAdmitsSecondClientUnderFlood) {
   opts.queue_capacity = 4;
   opts.batch.max_batch = 1;
   opts.batch.max_queue_delay_us = 0;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   serve::SubmitOptions flooder;
   flooder.client_id = 1;
@@ -936,9 +940,8 @@ TEST(ServeRegistry, BatchesNeverMixModels) {
             kPerModel);
 }
 
-// Unknown ids are a typed rejection in both modes: registry mode rejects
-// unregistered ids, and a legacy single-program server rejects any
-// explicit id at all (it has no registry to resolve one against).
+// An unregistered model id is a typed rejection, and the server keeps
+// serving known traffic after it.
 TEST(ServeRegistry, UnknownModelIsTypedRejection) {
   const zoo::ZooModel mlp = zoo::make_ternary_mlp(13);
   driver::ProgramRegistry registry(core::ArchConfig::k256_opt());
@@ -960,18 +963,6 @@ TEST(ServeRegistry, UnknownModelIsTypedRejection) {
   const serve::Response ok = server.submit(good).get();
   EXPECT_EQ(ok.status, serve::Status::kOk);
   EXPECT_EQ(ok.logits, registry_logits(registry, "mlp", good));
-  server.stop();
-
-  // Legacy mode: one program, no registry — any explicit id is unknown.
-  const SharedModel& m = shared_model();
-  serve::Server legacy(*m.program, {});
-  serve::SubmitOptions named;
-  named.model_id = "vgg";
-  const serve::Response lr =
-      legacy.submit(random_fm(m.net.input_shape(), rng), named).get();
-  EXPECT_EQ(lr.status, serve::Status::kRejectedUnknownModel);
-  EXPECT_EQ(
-      legacy.metrics().counter("serve.rejected_unknown_model").value(), 1);
 }
 
 // An empty model id resolves to the server default, and the default's
@@ -1043,10 +1034,10 @@ TEST(ServeLoadGen, PoissonScheduleIsDeterministicAndRateAccurate) {
 }
 
 TEST(ServeLoadGen, ClosedLoopReportAccountsEveryRequest) {
-  const SharedModel& m = shared_model();
+  SharedModel& m = shared_model();
   serve::ServerOptions opts;
   opts.workers = 2;
-  serve::Server server(*m.program, opts);
+  serve::Server server(m.registry, "vgg", opts);
 
   serve::LoadOptions load;
   load.requests = 12;

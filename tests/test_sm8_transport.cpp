@@ -124,13 +124,18 @@ TEST(Sm8Transport, BankContentsCanonicalAfterConvAndPool) {
 
     driver::LayerRun run;
     const pack::TiledFm conv_out = rt.run_conv(
-        input, packed, bias, nn::Requant{.shift = 5, .relu = false}, run);
+        input,
+        driver::compile_conv(cfg, input.shape(), packed, bias,
+                             nn::Requant{.shift = 5, .relu = false}),
+        run);
     expect_canonical_bank_contents(acc, "after conv");
 
     const nn::FmShape ps = conv_out.shape();
     const nn::FmShape pool_out{ps.c, ps.h / 2, ps.w / 2};
     if (pool_out.h > 0 && pool_out.w > 0) {
-      rt.run_pad_pool(conv_out, core::Opcode::kPool, pool_out, 2, 2, 0, 0,
+      rt.run_pad_pool(conv_out,
+                      driver::compile_pool(cfg, ps, pool_out,
+                                           core::Opcode::kPool, 2, 2, 0, 0),
                       run);
       expect_canonical_bank_contents(acc, "after pool");
     }

@@ -72,14 +72,16 @@ TEST(LayerRunReuse, ConvSecondCallMatchesFirst) {
   sim::Dram dram(32u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime rt(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
+  const driver::ConvProgram conv =
+      driver::compile_conv(acc.config(), input.shape(), packed, bias, rq);
 
   driver::LayerRun run;
-  rt.run_conv(input, packed, bias, rq, run);
+  rt.run_conv(input, conv, run);
   const driver::LayerRun first = run;
   EXPECT_GT(first.batches, 0);
   EXPECT_GT(first.dma.transfers, 0u);
 
-  rt.run_conv(input, packed, bias, rq, run);
+  rt.run_conv(input, conv, run);
   expect_equal_runs(first, run);
 }
 
@@ -91,10 +93,13 @@ TEST(LayerRunReuse, PadPoolSecondCallMatchesFirst) {
   sim::DmaEngine dma(dram);
   driver::Runtime rt(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
 
+  const driver::PoolPlan plan = driver::compile_pool(
+      acc.config(), input.shape(), {8, 7, 7}, core::Opcode::kPool, 2, 2, 0, 0);
+
   driver::LayerRun run;
-  rt.run_pad_pool(input, core::Opcode::kPool, {8, 7, 7}, 2, 2, 0, 0, run);
+  rt.run_pad_pool(input, plan, run);
   const driver::LayerRun first = run;
-  rt.run_pad_pool(input, core::Opcode::kPool, {8, 7, 7}, 2, 2, 0, 0, run);
+  rt.run_pad_pool(input, plan, run);
   expect_equal_runs(first, run);
 }
 
@@ -113,10 +118,13 @@ TEST(LayerRunReuse, ConvBatchSecondCallMatchesFirst) {
   sim::DmaEngine dma(dram);
   driver::Runtime rt(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
 
+  const driver::ConvProgram conv = driver::compile_conv(
+      acc.config(), images.front().shape(), packed, bias, rq);
+
   driver::LayerRun run;
-  rt.run_conv_batch(images, packed, bias, rq, run);
+  rt.run_conv_batch(images, conv, run);
   const driver::LayerRun first = run;
-  rt.run_conv_batch(images, packed, bias, rq, run);
+  rt.run_conv_batch(images, conv, run);
   expect_equal_runs(first, run);
 }
 
@@ -132,13 +140,15 @@ TEST(LayerRunReuse, PoolRuntimeResetsDirtyRun) {
 
   driver::AcceleratorPool pool(striped_config(), {.workers = 2});
   driver::PoolRuntime rt(pool, {.mode = driver::ExecMode::kCycle});
+  const driver::ConvProgram conv =
+      driver::compile_conv(pool.config(), input.shape(), packed, bias, rq);
 
   driver::LayerRun run;
-  rt.run_conv(input, packed, bias, rq, run);
+  rt.run_conv(input, conv, run);
   const driver::LayerRun first = run;
   run.batches = 999;  // pre-dirtied caller state must not survive
   run.macs = -5;
-  rt.run_conv(input, packed, bias, rq, run);
+  rt.run_conv(input, conv, run);
   expect_equal_runs(first, run);
 }
 

@@ -100,7 +100,10 @@ TEST(TernaryAccelerator, ConvMatchesReferenceBothEngines) {
     driver::Runtime runtime(acc, dram, dma, {.mode = mode});
     driver::LayerRun run;
     const pack::TiledFm out = runtime.run_conv(
-        pack::to_tiled(input), pack::pack_filters(tl.weights), bias, rq, run);
+        pack::to_tiled(input),
+        driver::compile_conv(cfg, input.shape(),
+                             pack::pack_filters(tl.weights), bias, rq),
+        run);
     EXPECT_EQ(pack::from_tiled(out), expected);
   }
 }
@@ -136,7 +139,8 @@ TEST(TernaryNetwork, EndToEndThroughAcceleratorMatchesInt8Reference) {
   sim::Dram dram(64u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-  const driver::NetworkRun run = runtime.run_network(net, model, input);
+  const driver::NetworkRun run = runtime.run_network(
+      driver::NetworkProgram::compile(net, model, cfg), input);
   ASSERT_TRUE(run.flat_output);
   EXPECT_EQ(run.logits, ref.back().flat);
 }

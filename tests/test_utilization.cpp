@@ -88,8 +88,9 @@ TEST(FcAsConv, MatchesHostFcButWastesTheDatapath) {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun run;
-  const std::vector<std::int8_t> logits =
-      runtime.run_fc_as_conv(input, weights, bias, out_dim, rq, run);
+  const std::vector<std::int8_t> logits = runtime.run_fc_as_conv(
+      input,
+      driver::compile_fc_conv(cfg, in_dim, out_dim, weights, bias, rq), run);
   EXPECT_EQ(logits, expected);
 
   // The ablation's point: utilization is pitiful.  Useful MACs = in*out; the

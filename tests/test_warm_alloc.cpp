@@ -10,11 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <vector>
 
 #include "core/config.hpp"
-#include "driver/program.hpp"
+#include "driver/program_registry.hpp"
 #include "nn/zoo.hpp"
 #include "obs/alloc_count.hpp"
 #include "serve/server.hpp"
@@ -27,7 +28,7 @@ namespace {
 // copy, the logits buffer the response donates, the promise/future shared
 // state, the Pending's queue slot, the scheduler's batch vector, the
 // per-batch result containers, and the pool layers' output maps.  Each is
-// O(1) and small (measured steady state: ~18 allocations); 32 is a
+// O(1) and small (measured steady state: 18 allocations); 32 is a
 // deliberately loose ceiling that still fails instantly if any per-layer
 // working buffer (tile planes, accumulators, metric-name strings — dozens
 // to thousands of allocations per request) leaks back in.
@@ -77,10 +78,9 @@ TEST(WarmAllocServe, WarmRequestsStayWithinDocumentedBound) {
     GTEST_SKIP() << "build without TSCA_COUNT_ALLOCS";
 
   const zoo::ZooModel m = zoo::make_residual_cifar(7);
-  const driver::NetworkProgram program =
-      driver::NetworkProgram::compile(m.net, m.model,
-                                      core::ArchConfig::k256_opt());
-  serve::Server server(program, {.workers = 1});
+  driver::ProgramRegistry registry(core::ArchConfig::k256_opt());
+  registry.add_model("residual", m.net, m.model);
+  serve::Server server(registry, "residual", {.workers = 1});
   const nn::FeatureMapI8 input = make_input(m.net.input_shape(), 0xA11);
 
   const auto serve_one = [&] {
@@ -113,6 +113,9 @@ TEST(WarmAllocServe, WarmRequestsStayWithinDocumentedBound) {
   const obs::AllocStats warm = obs::warm_alloc_stats();
   const std::int64_t allocs_per_request = warm.count / kWarmRequests;
   const std::int64_t bytes_per_request = warm.bytes / kWarmRequests;
+  std::printf("warm request: %.1f allocations, %lld bytes\n",
+              static_cast<double>(warm.count) / kWarmRequests,
+              static_cast<long long>(bytes_per_request));
 
   EXPECT_LE(allocs_per_request, kMaxAllocsPerWarmRequest)
       << warm.count << " allocations over " << kWarmRequests << " requests";

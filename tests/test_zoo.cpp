@@ -58,7 +58,8 @@ driver::NetworkRun run_zoo(const zoo::ZooModel& m,
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma,
                           {.mode = mode, .keep_activations = true});
-  return runtime.run_network(m.net, m.model, input);
+  return runtime.run_network(
+      driver::NetworkProgram::compile(m.net, m.model, zoo_config()), input);
 }
 
 class ZooEquivalence : public ::testing::TestWithParam<int> {};
