@@ -11,6 +11,7 @@
 // layer on the cycle engine here as well.
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "core/accelerator.hpp"
 #include "driver/runtime.hpp"
@@ -36,7 +37,8 @@ void spot_check_cycle_engine(const driver::StudyNetwork& net) {
       input.data()[i] = static_cast<std::int8_t>(rng.next_int(-30, 30));
     driver::LayerRun run;
     const driver::ConvProgram program = driver::compile_study_conv(cfg, layer);
-    runtime.run_conv(pack::to_tiled(input), program, run);
+    std::vector<pack::TiledFm> fms{pack::to_tiled(input)};
+    runtime.run_conv_batch(fms, program, run);
     const driver::PerfModel model(cfg);
     const driver::ConvPerf perf = model.conv_layer(layer.padded_in,
                                                    layer.packed);

@@ -43,10 +43,11 @@ int main() {
   const driver::StudyNetwork pruned =
       driver::build_study_network({.pruned = true});
 
-  std::printf("%-14s %8s %8s %8s %8s | %8s %8s\n", "variant", "avg",
-              "avg(net)", "avg(dma)", "peak", "pap-avg", "pap-pk");
-  std::printf("  (avg = conv only; net = +pad/pool; dma = +serialized DMA —\n"
-              "   the paper's measurement lies between net and dma)\n");
+  std::printf("%-14s %8s %8s %8s %8s | %8s %8s | %8s %7s\n", "variant",
+              "avg", "avg(net)", "avg(dma)", "peak", "pap-avg", "pap-pk",
+              "gap", "gap%");
+  std::printf("  (avg = conv only; net = +pad/pool; dma = +serialized DMA;\n"
+              "   gap = avg(dma) - pap-avg, in GOPS and as %% of pap-avg)\n");
   for (int model = 0; model < 2; ++model) {
     const driver::StudyNetwork& net = model == 0 ? unpruned : pruned;
     const PaperRow* paper = model == 0 ? kPaperUnpruned : kPaperPruned;
@@ -55,10 +56,12 @@ int main() {
       const core::ArchConfig& cfg = core::ArchConfig::paper_variants()[v];
       const driver::VariantResult r = driver::evaluate_variant(cfg, net);
       const std::string label = cfg.name + (model == 1 ? "-pr" : "");
-      std::printf("%-14s %8.1f %8.1f %8.1f %8.1f | %8.1f %8.1f\n",
+      const double gap = r.network_gops_dma_serial - paper[v].avg;
+      std::printf("%-14s %8.1f %8.1f %8.1f %8.1f | %8.1f %8.1f | %+8.1f "
+                  "%+6.0f%%\n",
                   label.c_str(), r.mean_gops, r.network_gops,
                   r.network_gops_dma_serial, r.best_gops, paper[v].avg,
-                  paper[v].peak);
+                  paper[v].peak, gap, 100.0 * gap / paper[v].avg);
     }
     std::printf("\n");
   }

@@ -6,6 +6,7 @@
 // back the §IV-A discussion (streaming kernels at II=1) with host-side
 // numbers for the simulator.
 #include <benchmark/benchmark.h>
+#include <vector>
 
 #include "core/accelerator.hpp"
 #include "core/datapath.hpp"
@@ -79,8 +80,9 @@ void BM_CycleEngineConvLayer(benchmark::State& state) {
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
     driver::LayerRun run;
-    auto out = runtime.run_conv(pack::to_tiled(input), conv, run);
-    benchmark::DoNotOptimize(out);
+    std::vector<pack::TiledFm> fms{pack::to_tiled(input)};
+    runtime.run_conv_batch(fms, conv, run);
+    benchmark::DoNotOptimize(fms);
     cycles += run.cycles;
   }
   state.counters["sim_cycles/s"] = benchmark::Counter(

@@ -108,12 +108,13 @@ std::int64_t calibrate_exec_us(const driver::NetworkProgram& program) {
   nn::FeatureMapI8 input(program.net().input_shape());
   for (std::size_t i = 0; i < input.size(); ++i)
     input.data()[i] = static_cast<std::int8_t>(rng.next_int(-40, 40));
-  runtime.run_network(program, input);  // warm-up: stages the weight image
+  const nn::FeatureMapI8* image = &input;
+  runtime.run_network_batch(program, &image, 1);  // warm-up: stages weights
   constexpr int kReps = 5;
   std::int64_t best = 0;
   for (int r = 0; r < kReps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    runtime.run_network(program, input);
+    runtime.run_network_batch(program, &image, 1);
     const std::int64_t us =
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)

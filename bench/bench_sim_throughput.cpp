@@ -5,8 +5,9 @@
 //   serve   — whole-network requests through a registry-mode serve::Server
 //             with N workers, one image per batch (the paper's throughput
 //             serving scenario); reports images/sec.
-//   stripes — a single network pass with small banks, so each layer's
-//             stripe loop fans out over a PoolRuntime's workers.
+//   stripes — one image as a batch of one with small banks, so each
+//             layer's stripe loop fans out over a PoolRuntime's workers
+//             (median of warm passes; staging is excluded).
 //   fast    — the SIMD functional fast path, three ways: (1) vs the cycle
 //             engine (bit-identical logits, ≥5× p50); (2) a backend matrix —
 //             warm single-worker serving under every runtime-dispatched
@@ -68,6 +69,15 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+// One image through `runtime` as a batch of one; the pointer form stages no
+// copy of the input, so timed calls measure the runtime alone.
+driver::BatchNetworkRun run_one(driver::Runtime& runtime,
+                                const driver::NetworkProgram& program,
+                                const nn::FeatureMapI8& input) {
+  const nn::FeatureMapI8* image = &input;
+  return runtime.run_network_batch(program, &image, 1);
 }
 
 std::uint64_t total_cycles(const std::vector<driver::LayerRun>& layers) {
@@ -176,19 +186,19 @@ FastSection run_fast_section(
   const std::string entry_backend = core::simd::backend_name();
   f.ok = true;
 
-  // Warm serving on one Runtime, every run_network call timed: p50/p99 are
+  // Warm serving on one Runtime, every batch-of-one call timed: p50/p99 are
   // exact nearest-rank values over the `reps` passes of the request set.
   auto time_serve = [&](driver::ExecMode mode, int reps,
                         double& p50_us, double& p99_us) {
     driver::AcceleratorPool::Context ctx(cfg, 64u << 20);
     driver::Runtime runtime(ctx.acc, ctx.dram, ctx.dma, {.mode = mode});
-    runtime.run_network(program, w.inputs.front());  // warm-up, stages weights
-    std::vector<driver::NetworkRun> runs(w.inputs.size());
+    run_one(runtime, program, w.inputs.front());  // warm-up, stages weights
+    std::vector<driver::BatchNetworkRun> runs(w.inputs.size());
     std::vector<double> call_us;
     for (int rep = 0; rep < reps; ++rep)
       for (std::size_t i = 0; i < w.inputs.size(); ++i) {
         const auto t0 = std::chrono::steady_clock::now();
-        runs[i] = runtime.run_network(program, w.inputs[i]);
+        runs[i] = run_one(runtime, program, w.inputs[i]);
         call_us.push_back(seconds_since(t0) * 1e6);
       }
     p50_us = nearest_rank(call_us, 0.50);
@@ -196,11 +206,14 @@ FastSection run_fast_section(
     return runs;
   };
 
-  const std::vector<driver::NetworkRun> cycle_runs =
+  const std::vector<driver::BatchNetworkRun> cycle_runs =
       time_serve(driver::ExecMode::kCycle, 2, f.cycle_p50_us, f.cycle_p99_us);
+  const auto cycle_logits = [&](std::size_t i) -> const auto& {
+    return cycle_runs[i].requests.front().logits;
+  };
   if (reference != nullptr)
     for (std::size_t i = 0; i < cycle_runs.size(); ++i)
-      if (cycle_runs[i].logits != (*reference)[i]) {
+      if (cycle_logits(i) != (*reference)[i]) {
         std::fprintf(stderr,
                      "FAIL: fast-section cycle serve diverged on image %zu\n",
                      i);
@@ -216,10 +229,10 @@ FastSection run_fast_section(
     BackendRow row;
     row.name = b->name;
     row.width = b->width;
-    const std::vector<driver::NetworkRun> runs =
+    const std::vector<driver::BatchNetworkRun> runs =
         time_serve(driver::ExecMode::kFast, 5, row.p50_us, row.p99_us);
     for (std::size_t i = 0; i < runs.size(); ++i)
-      if (runs[i].logits != cycle_runs[i].logits) {
+      if (runs[i].requests.front().logits != cycle_logits(i)) {
         std::fprintf(stderr, "FAIL: %s logits diverged on image %zu\n",
                      b->name, i);
         f.ok = false;
@@ -268,7 +281,7 @@ FastSection run_fast_section(
     // thermal drift land on both sides of the widen ratio instead of
     // whichever block ran later.  The gate compares the two medians.
     core::simd::select_backend("sse2");
-    serial_runtime.run_network(program, w.inputs.front());  // warm-up
+    run_one(serial_runtime, program, w.inputs.front());  // warm-up
     core::simd::select_backend(entry_backend.c_str());
     driver::BatchNetworkRun batch =
         runtime.run_network_batch(program, w.inputs);  // warm-up
@@ -278,7 +291,7 @@ FastSection run_fast_section(
       core::simd::select_backend("sse2");
       auto t0 = std::chrono::steady_clock::now();
       for (const nn::FeatureMapI8& input : w.inputs)
-        serial_runtime.run_network(program, input);
+        run_one(serial_runtime, program, input);
       serial_us.push_back(seconds_since(t0) * 1e6 /
                           static_cast<double>(w.inputs.size()));
       core::simd::select_backend(entry_backend.c_str());
@@ -288,7 +301,7 @@ FastSection run_fast_section(
                              static_cast<double>(w.inputs.size()));
     }
     for (std::size_t i = 0; i < batch.requests.size(); ++i)
-      if (batch.requests[i].logits != cycle_runs[i].logits) {
+      if (batch.requests[i].logits != cycle_logits(i)) {
         std::fprintf(stderr,
                      "FAIL: combined batch logits diverged on image %zu\n", i);
         f.ok = false;
@@ -472,7 +485,11 @@ int main(int argc, char** argv) {
   }
 
   // --- stripes: intra-layer stripe parallelism --------------------------
-  std::printf("\nstripes: one pass, small banks force striped layers\n");
+  // One image as a batch of one: the pool still spreads its conv and
+  // pad/pool stripes across the workers.  Each runtime stages the program
+  // in an untimed first pass; a row is the median of kStripeReps warm
+  // passes, each checked against the serial run (logits and total cycles).
+  std::printf("\nstripes: one image, small banks force striped layers\n");
   core::ArchConfig stripe_cfg = core::ArchConfig::k256_opt();
   stripe_cfg.bank_words = 128;
 
@@ -481,30 +498,42 @@ int main(int argc, char** argv) {
   driver::AcceleratorPool::Context stripe_ctx(stripe_cfg, 64u << 20);
   driver::Runtime stripe_serial(stripe_ctx.acc, stripe_ctx.dram,
                                 stripe_ctx.dma, options);
-  t0 = std::chrono::steady_clock::now();
-  const driver::NetworkRun stripe_ref =
-      stripe_serial.run_network(stripe_program, w.inputs.front());
-  const double serial_stripe_s = seconds_since(t0);
+  const driver::BatchNetworkRun stripe_ref =
+      stripe_serial.run_network_batch(stripe_program, {w.inputs.front()});
   const std::uint64_t stripe_cycles = total_cycles(stripe_ref.layers);
-  std::printf("  %-10s %8.2f s %12.0f cyc/s\n", "serial", serial_stripe_s,
+  // Median warm wall seconds on `runtime`, or a negative value when a pass
+  // diverges from the serial run.
+  const auto time_stripes = [&](driver::Runtime& runtime) {
+    constexpr int kStripeReps = 5;
+    runtime.run_network_batch(stripe_program, {w.inputs.front()});
+    std::vector<double> wall;
+    for (int rep = 0; rep < kStripeReps; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      const driver::BatchNetworkRun run =
+          runtime.run_network_batch(stripe_program, {w.inputs.front()});
+      wall.push_back(seconds_since(start));
+      if (run.requests.front().logits != stripe_ref.requests.front().logits ||
+          total_cycles(run.layers) != stripe_cycles)
+        return -1.0;
+    }
+    return nearest_rank(wall, 0.5);
+  };
+  const double serial_stripe_s = time_stripes(stripe_serial);
+  std::printf("  %-10s %8.4f s %12.0f cyc/s\n", "serial", serial_stripe_s,
               static_cast<double>(stripe_cycles) / serial_stripe_s);
 
   std::vector<Measurement> stripe_rows;
   for (const int workers : kWorkers) {
     driver::AcceleratorPool pool(stripe_cfg, {.workers = workers});
     driver::PoolRuntime runtime(pool, options);
-    t0 = std::chrono::steady_clock::now();
-    const driver::NetworkRun run =
-        runtime.run_network(stripe_program, w.inputs.front());
-    const double wall = seconds_since(t0);
-    if (run.logits != stripe_ref.logits ||
-        total_cycles(run.layers) != stripe_cycles) {
+    const double wall = time_stripes(runtime);
+    if (wall < 0.0) {
       std::fprintf(stderr, "FAIL: stripes w=%d diverged from serial\n",
                    workers);
       return 1;
     }
     stripe_rows.push_back({workers, wall, stripe_cycles, 1.0});
-    std::printf("  workers=%-3d %8.2f s %12.0f cyc/s\n", workers, wall,
+    std::printf("  workers=%-3d %8.4f s %12.0f cyc/s\n", workers, wall,
                 static_cast<double>(stripe_cycles) / wall);
   }
 
@@ -595,8 +624,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: cached program DDR image differs\n");
       return 1;
     }
-    if (warm_runtime.run_network(*cached, w.inputs.front()).logits !=
-        reference.front()) {
+    if (run_one(warm_runtime, *cached, w.inputs.front())
+            .requests.front()
+            .logits != reference.front()) {
       std::fprintf(stderr, "FAIL: cached program serve diverged\n");
       return 1;
     }

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     if (spec.kind == nn::LayerKind::kFlatten) break;
     driver::LayerRun run;
     if (spec.kind == nn::LayerKind::kConv) {
-      fms = runtime.run_conv_batch(fms, conv_programs[i], run);
+      runtime.run_conv_batch(fms, conv_programs[i], run);
     } else {
       for (auto& fm : fms) {
         driver::LayerRun sub;

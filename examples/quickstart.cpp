@@ -9,6 +9,7 @@
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <vector>
 
 #include "core/accelerator.hpp"
 #include "driver/runtime.hpp"
@@ -46,13 +47,14 @@ int main() {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(accelerator, dram, dma, {.mode = driver::ExecMode::kCycle});
 
-  // Compile once (weight streams + stripe plan), then execute.
+  // Compile once (weight streams + stripe plan), then execute one image as a
+  // batch of one: the map is replaced by the layer's output in place.
   const driver::ConvProgram conv = driver::compile_conv(
       accelerator.config(), input.shape(), packed, bias, requant);
   driver::LayerRun run;
-  const pack::TiledFm out_tiled =
-      runtime.run_conv(pack::to_tiled(input), conv, run);
-  const nn::FeatureMapI8 output = pack::from_tiled(out_tiled);
+  std::vector<pack::TiledFm> fms{pack::to_tiled(input)};
+  runtime.run_conv_batch(fms, conv, run);
+  const nn::FeatureMapI8 output = pack::from_tiled(fms.front());
 
   // The accelerator is bit-exact with the int8 reference.
   const nn::FeatureMapI8 expected =

@@ -272,16 +272,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  driver::NetworkRun run;
+  // One image is a batch of one.
+  driver::BatchNetworkRun run;
   const auto t0 = std::chrono::steady_clock::now();
   if (pool_workers > 0) {
     std::printf("pool runtime: %d workers\n", pool_workers);
     driver::AcceleratorPool pool(cfg, {.workers = pool_workers});
     driver::PoolRuntime runtime(pool, options);
-    run = runtime.run_network(program, input);
+    run = runtime.run_network_batch(program, {input});
   } else {
     driver::Runtime runtime(accelerator, dram, dma, options);
-    run = runtime.run_network(program, input);
+    run = runtime.run_network_batch(program, {input});
   }
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
@@ -330,13 +331,14 @@ int main(int argc, char** argv) {
               driver::exec_mode_name(mode));
 
   // Host-side classifier result.
-  if (run.flat_output) {
+  const driver::NetworkRun& result = run.requests.front();
+  if (result.flat_output) {
     int best = 0;
-    for (std::size_t i = 1; i < run.logits.size(); ++i)
-      if (run.logits[i] > run.logits[static_cast<std::size_t>(best)])
+    for (std::size_t i = 1; i < result.logits.size(); ++i)
+      if (result.logits[i] > result.logits[static_cast<std::size_t>(best)])
         best = static_cast<int>(i);
     std::printf("predicted class: %d (logit %d)\n", best,
-                run.logits[static_cast<std::size_t>(best)]);
+                result.logits[static_cast<std::size_t>(best)]);
   }
 
   if (trace_path != nullptr) {

@@ -62,62 +62,6 @@ PoolRuntime::PoolRuntime(AcceleratorPool& pool, RuntimeOptions options)
               options),
       pool_(pool) {}
 
-pack::TiledFm PoolRuntime::run_conv(const pack::TiledFm& input,
-                                    const ConvProgram& conv, LayerRun& run) {
-  // The base-class fast body handles statistics/predictions and reaches our
-  // fast_exec_conv override for the stripe fan-out.
-  if (options_.mode == ExecMode::kFast)
-    return Runtime::run_conv(input, conv, run);
-  const core::ArchConfig& cfg = pool_.config();
-  TSCA_CHECK(conv.plan.in_shape == input.shape(),
-             "program compiled for a different input shape");
-  TSCA_CHECK(!conv.plan.stripes.empty(),
-             "conv program has no striped plan (fused-only layer)");
-  const ConvPlan& plan = conv.plan;
-  pack::TiledFm output(plan.out_shape);
-
-  const ScopedMerge scope(pool_);
-  run.reset_stats();
-  run.on_accelerator = true;
-  run.kind = nn::LayerKind::kConv;
-  run.macs = conv.macs;
-  run.stripes = static_cast<int>(plan.stripes.size());
-
-  // One unit per stripe.  Stripes read the shared input and write disjoint
-  // tile rows of the shared output, so no unit touches another's data.
-  std::vector<StripeOutcome> outcomes(plan.stripes.size());
-  const hls::Mode mode = engine_mode(options_.mode);
-  const LayerTracer tracer = begin_layer_trace(pool_.workers(), "worker");
-  const bool trace_kernels = options_.trace_kernels;
-  if (tracer)
-    for (int i = 0; i < pool_.workers(); ++i)
-      pool_.context(i).dma.set_trace(tracer.dma[static_cast<std::size_t>(i)]);
-  pool_.parallel_for(
-      plan.stripes.size(),
-      [&](AcceleratorPool::Context& ctx, std::size_t si) {
-        ExecCtx ec = make_exec_ctx(ctx, mode);
-        if (tracer) {
-          ec.trace = tracer.compute[static_cast<std::size_t>(ctx.worker)];
-          ec.trace_kernels = trace_kernels;
-        }
-        outcomes[si] =
-            exec_conv_stripe(ec, conv, plan.stripes[si], input, output);
-      });
-  if (tracer)
-    for (int i = 0; i < pool_.workers(); ++i)
-      pool_.context(i).dma.set_trace(nullptr);
-
-  std::vector<std::uint64_t> per_stripe(outcomes.size());
-  for (std::size_t si = 0; si < outcomes.size(); ++si) {
-    per_stripe[si] = outcomes[si].cycles;
-    run.batches += outcomes[si].batches;
-  }
-  run.cycles = max_over_instances(per_stripe, cfg.instances);
-  scope.merge(run);
-  finish_layer(run);
-  return output;
-}
-
 pack::TiledFm PoolRuntime::run_pad_pool(const pack::TiledFm& input,
                                         const PoolPlan& plan, LayerRun& run) {
   if (options_.mode == ExecMode::kFast)
@@ -167,85 +111,71 @@ pack::TiledFm PoolRuntime::run_pad_pool(const pack::TiledFm& input,
   return output;
 }
 
-std::vector<pack::TiledFm> PoolRuntime::run_conv_batch(
-    const std::vector<pack::TiledFm>& inputs, const ConvProgram& conv,
-    LayerRun& run) {
-  if (options_.mode == ExecMode::kFast)
-    return Runtime::run_conv_batch(inputs, conv, run);
-  TSCA_CHECK(!inputs.empty());
-  const core::ArchConfig& cfg = pool_.config();
-  for (const pack::TiledFm& input : inputs)
-    TSCA_CHECK(input.shape() == inputs.front().shape(),
-               "batch images must share a shape");
-  TSCA_CHECK(conv.plan.in_shape == inputs.front().shape(),
-             "program compiled for a different input shape");
-
+void PoolRuntime::engine_exec_conv(const std::vector<pack::TiledFm>& inputs,
+                                   const ConvProgram& conv,
+                                   std::vector<pack::TiledFm>& outputs,
+                                   LayerRun& run) {
   const ConvPlan& plan = conv.plan;
-  std::vector<pack::TiledFm> outputs(inputs.size(),
-                                     pack::TiledFm(plan.out_shape));
-
+  const std::size_t images = inputs.size();
+  const std::size_t stripes = plan.stripes.size();
   const ScopedMerge scope(pool_);
-  run.reset_stats();
-  run.on_accelerator = true;
-  run.kind = nn::LayerKind::kConv;
-  run.macs = conv.macs * static_cast<std::int64_t>(inputs.size());
-  run.stripes = static_cast<int>(plan.stripes.size());
-
   const LayerTracer tracer = begin_layer_trace(pool_.workers(), "worker");
   const bool trace_kernels = options_.trace_kernels;
   if (tracer)
     for (int i = 0; i < pool_.workers(); ++i)
       pool_.context(i).dma.set_trace(tracer.dma[static_cast<std::size_t>(i)]);
 
-  // The hardware stages each (stripe, chunk)'s weights once and reuses them
-  // across the whole image batch; account that DMA once here.  Workers then
-  // replicate the streams into their own banks unaccounted.
-  for (const ConvStripe& stripe : plan.stripes)
-    for (const ConvStripe::Chunk& chunk : stripe.chunks)
-      account_chunk_weights(pool_.context(0).dma, chunk, conv.wimg);
+  // With more than one image the hardware stages each (stripe, chunk)'s
+  // weights once and reuses them across the batch; account that DMA once
+  // here.  Workers then replicate the streams into their own banks
+  // unaccounted.
+  if (images > 1)
+    for (const ConvStripe& stripe : plan.stripes)
+      for (const ConvStripe::Chunk& chunk : stripe.chunks)
+        account_chunk_weights(pool_.context(0).dma, chunk, conv.wimg);
 
-  // One unit per image: each image runs the full stripe/chunk schedule on a
-  // private context.
-  std::vector<std::vector<std::uint64_t>> cycles_by_image_stripe(
-      inputs.size(), std::vector<std::uint64_t>(plan.stripes.size(), 0));
-  std::vector<int> batches_by_image(inputs.size(), 0);
+  // One unit per (image, stripe), so a lone image still spreads its stripes
+  // across the workers.  Units read their own image and write disjoint tile
+  // rows of its output, so no unit touches another's data.
+  std::vector<StripeOutcome> outcomes(images * stripes);
   const hls::Mode mode = engine_mode(options_.mode);
   pool_.parallel_for(
-      inputs.size(), [&](AcceleratorPool::Context& ctx, std::size_t img) {
+      outcomes.size(), [&](AcceleratorPool::Context& ctx, std::size_t u) {
+        const std::size_t img = u / stripes;
+        const ConvStripe& stripe = plan.stripes[u % stripes];
         ExecCtx ec = make_exec_ctx(ctx, mode);
         if (tracer) {
           ec.trace = tracer.compute[static_cast<std::size_t>(ctx.worker)];
           ec.trace_kernels = trace_kernels;
         }
-        for (std::size_t si = 0; si < plan.stripes.size(); ++si) {
-          const ConvStripe& stripe = plan.stripes[si];
-          for (const ConvStripe::Chunk& chunk : stripe.chunks) {
-            const std::vector<core::Instruction> instrs =
-                stage_chunk_weights(ec, conv, stripe, chunk,
-                                    /*count_stats=*/false);
-            const StripeOutcome outcome = exec_batch_image_chunk(
-                ec, conv, stripe, chunk, instrs, inputs[img], outputs[img]);
-            cycles_by_image_stripe[img][si] += outcome.cycles;
-            batches_by_image[img] += outcome.batches;
-          }
+        if (images == 1) {
+          // The serial lone-image schedule: the stripe stays staged across
+          // its weight chunks.
+          outcomes[u] =
+              exec_conv_stripe(ec, conv, stripe, inputs[0], outputs[0]);
+          return;
+        }
+        for (const ConvStripe::Chunk& chunk : stripe.chunks) {
+          const std::vector<core::Instruction> instrs =
+              stage_chunk_weights(ec, conv, stripe, chunk,
+                                  /*count_stats=*/false);
+          outcomes[u] += exec_batch_image_chunk(
+              ec, conv, stripe, chunk, instrs, inputs[img], outputs[img]);
         }
       });
-
-  // Merge with the serial bucketing: stripe si's cycles (summed over chunks
-  // and images) land in instance bucket si % instances.
   if (tracer)
     for (int i = 0; i < pool_.workers(); ++i)
       pool_.context(i).dma.set_trace(nullptr);
-  std::vector<std::uint64_t> per_stripe(plan.stripes.size(), 0);
-  for (std::size_t img = 0; img < inputs.size(); ++img) {
-    for (std::size_t si = 0; si < plan.stripes.size(); ++si)
-      per_stripe[si] += cycles_by_image_stripe[img][si];
-    run.batches += batches_by_image[img];
+
+  // Merge with the serial bucketing: stripe si's cycles (summed over chunks
+  // and images) land in instance bucket si % instances.
+  std::vector<std::uint64_t> per_stripe(stripes, 0);
+  for (std::size_t u = 0; u < outcomes.size(); ++u) {
+    per_stripe[u % stripes] += outcomes[u].cycles;
+    run.batches += outcomes[u].batches;
   }
-  run.cycles = max_over_instances(per_stripe, cfg.instances);
+  run.cycles = max_over_instances(per_stripe, pool_.config().instances);
   scope.merge(run);
-  finish_layer(run);
-  return outputs;
 }
 
 void PoolRuntime::fast_exec_conv(const pack::TiledFm* const* inputs, int batch,

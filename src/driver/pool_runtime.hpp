@@ -1,10 +1,11 @@
 // Host-parallel runtime on top of AcceleratorPool.
 //
 // Drop-in replacement for the serial Runtime with two parallelism axes:
-// the stripe loops of run_conv / run_pad_pool fan out over the pool's
-// workers (one stripe per unit), and batched convolution fans out over
-// images.  Request-level parallelism belongs to serve::Server, whose workers
-// each own a context.
+// the stripe loops of run_pad_pool and of the fast path fan out over the
+// pool's workers (one stripe per unit), and engine convolution fans out over
+// (image × stripe) units, so a batch of one still spreads its stripes.
+// Request-level parallelism belongs to serve::Server, whose workers each own
+// a context.
 //
 // Determinism guarantee: simulated cycle counts, hardware counters, and
 // output feature maps are bit-identical to the serial Runtime for any worker
@@ -30,15 +31,8 @@ class PoolRuntime final : public Runtime {
   // lowering, host-side layers) run on context 0.
   explicit PoolRuntime(AcceleratorPool& pool, RuntimeOptions options = {});
 
-  pack::TiledFm run_conv(const pack::TiledFm& input, const ConvProgram& conv,
-                         LayerRun& run) override;
-
   pack::TiledFm run_pad_pool(const pack::TiledFm& input, const PoolPlan& plan,
                              LayerRun& run) override;
-
-  std::vector<pack::TiledFm> run_conv_batch(
-      const std::vector<pack::TiledFm>& inputs, const ConvProgram& conv,
-      LayerRun& run) override;
 
   // Stages the program's weight image into every worker context's DDR (and
   // the base runtime's, i.e. context 0), so pooled stripes and images all
@@ -46,6 +40,12 @@ class PoolRuntime final : public Runtime {
   void ensure_program_staged(const NetworkProgram& program) override;
 
  protected:
+  // Engine convolution: one unit per (image, stripe) on the workers' private
+  // contexts, cycles bucketed per stripe exactly like the serial body.
+  void engine_exec_conv(const std::vector<pack::TiledFm>& inputs,
+                        const ConvProgram& conv,
+                        std::vector<pack::TiledFm>& outputs,
+                        LayerRun& run) override;
   // Fast-path stripe parallelism: the plan's stripe row-bands fan out across
   // the pool's workers (bands write disjoint output tiles — nothing to
   // reduce), with per-band FastConvStats summed in stripe index order.

@@ -62,6 +62,31 @@ void check_fast_stripe_invariant(const ConvPlan& plan) {
   }
 }
 
+// Calls fn(ins, outs, n) per group of up to Runtime::kFastBatchLanes images
+// of `fms` and their outputs in `outs`: the batch-major layout in which the
+// images of a group share each weight walk and gathered region.  Per-image
+// outputs are identical to serial single-image runs (the layout only packs
+// more values per vector op).  The pointer tables are reused scratch.
+template <class Fn>
+void for_each_lane_group(const std::vector<pack::TiledFm>& fms,
+                         std::vector<pack::TiledFm>& outs,
+                         std::vector<const pack::TiledFm*>& ins_scratch,
+                         std::vector<pack::TiledFm*>& outs_scratch, Fn&& fn) {
+  for (std::size_t i0 = 0; i0 < fms.size();
+       i0 += static_cast<std::size_t>(Runtime::kFastBatchLanes)) {
+    const std::size_t n =
+        std::min(static_cast<std::size_t>(Runtime::kFastBatchLanes),
+                 fms.size() - i0);
+    ins_scratch.clear();
+    outs_scratch.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      ins_scratch.push_back(&fms[i0 + i]);
+      outs_scratch.push_back(&outs[i0 + i]);
+    }
+    fn(ins_scratch.data(), outs_scratch.data(), static_cast<int>(n));
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> bank_stripe_bytes(const pack::TiledFm& fm, int lane,
@@ -217,50 +242,6 @@ void Runtime::finish_layer(const LayerRun& run) {
   trace_clock_ += run.cycles;
 }
 
-pack::TiledFm Runtime::run_conv(const pack::TiledFm& input,
-                                const ConvProgram& conv, LayerRun& run) {
-  if (options_.mode == ExecMode::kFast)
-    return fast_conv_layer(input, conv, run);
-  const core::ArchConfig& cfg = acc_.config();
-  TSCA_CHECK(conv.plan.in_shape == input.shape(),
-             "program compiled for a different input shape");
-  TSCA_CHECK(!conv.plan.stripes.empty(),
-             "conv program has no striped plan (fused-only layer)");
-  pack::TiledFm output(conv.plan.out_shape);
-
-  const auto counters_before = core::snapshot(acc_.counters());
-  const auto dma_before = dma_.stats();
-  std::vector<std::uint64_t> instance_cycles(
-      static_cast<std::size_t>(cfg.instances), 0);
-
-  run.reset_stats();
-  run.on_accelerator = true;
-  run.kind = nn::LayerKind::kConv;
-  run.macs = conv.macs;
-  run.stripes = static_cast<int>(conv.plan.stripes.size());
-
-  ExecCtx ctx = exec_ctx();
-  const LayerTracer tracer = begin_layer_trace(cfg.instances, "inst");
-  for (std::size_t si = 0; si < conv.plan.stripes.size(); ++si) {
-    const std::size_t inst = si % static_cast<std::size_t>(cfg.instances);
-    if (tracer) {
-      ctx.trace = tracer.compute[inst];
-      dma_.set_trace(tracer.dma[inst]);
-    }
-    const StripeOutcome outcome =
-        exec_conv_stripe(ctx, conv, conv.plan.stripes[si], input, output);
-    instance_cycles[inst] += outcome.cycles;
-    run.batches += outcome.batches;
-  }
-  if (tracer) dma_.set_trace(nullptr);
-  run.cycles = *std::max_element(instance_cycles.begin(),
-                                 instance_cycles.end());
-  run.counters = core::snapshot(acc_.counters()) - counters_before;
-  run.dma = dma_.stats() - dma_before;
-  finish_layer(run);
-  return output;
-}
-
 pack::TiledFm Runtime::run_pad_pool(const pack::TiledFm& input,
                                     const PoolPlan& plan, LayerRun& run) {
   if (options_.mode == ExecMode::kFast)
@@ -303,32 +284,63 @@ pack::TiledFm Runtime::run_pad_pool(const pack::TiledFm& input,
   return output;
 }
 
-std::vector<pack::TiledFm> Runtime::run_conv_batch(
-    const std::vector<pack::TiledFm>& inputs, const ConvProgram& conv,
-    LayerRun& run) {
-  if (options_.mode == ExecMode::kFast)
-    return fast_conv_batch(inputs, conv, run);
-  TSCA_CHECK(!inputs.empty());
-  const core::ArchConfig& cfg = acc_.config();
-  for (const pack::TiledFm& input : inputs)
-    TSCA_CHECK(input.shape() == inputs.front().shape(),
+void Runtime::run_conv_batch(std::vector<pack::TiledFm>& fms,
+                             const ConvProgram& conv, LayerRun& run) {
+  TSCA_CHECK(!fms.empty());
+  for (const pack::TiledFm& fm : fms)
+    TSCA_CHECK(fm.shape() == fms.front().shape(),
                "batch images must share a shape");
-  TSCA_CHECK(conv.plan.in_shape == inputs.front().shape(),
+  const ConvPlan& plan = conv.plan;
+  TSCA_CHECK(plan.in_shape == fms.front().shape(),
              "program compiled for a different input shape");
-
-  std::vector<pack::TiledFm> outputs(inputs.size(),
-                                     pack::TiledFm(conv.plan.out_shape));
-
-  const auto counters_before = core::snapshot(acc_.counters());
-  const auto dma_before = dma_.stats();
-  std::vector<std::uint64_t> instance_cycles(
-      static_cast<std::size_t>(cfg.instances), 0);
+  TSCA_CHECK(!plan.stripes.empty(),
+             "conv program has no striped plan (fused-only layer)");
+  const auto images = static_cast<std::int64_t>(fms.size());
 
   run.reset_stats();
   run.on_accelerator = true;
   run.kind = nn::LayerKind::kConv;
-  run.macs = conv.macs * static_cast<std::int64_t>(inputs.size());
-  run.stripes = static_cast<int>(conv.plan.stripes.size());
+  run.macs = conv.macs * images;
+  run.stripes = static_cast<int>(plan.stripes.size());
+
+  // Outputs land in recycled storage; the final swap hands the old input
+  // maps back as the staging pool the next layer's outputs draw from, so a
+  // warm runtime runs whole networks without constructing a single map.
+  size_fm_vec(batch_out_fms_, fms.size());
+  for (pack::TiledFm& out : batch_out_fms_) out.reset(plan.out_shape);
+  if (options_.mode == ExecMode::kFast) {
+    check_fast_stripe_invariant(plan);
+    check_fast_conv(conv);
+    for (const ConvStripe& stripe : plan.stripes)
+      run.batches += static_cast<int>(stripe.chunks.size() * fms.size());
+    // The engine re-runs every chunk's instructions once per image (weights
+    // stay staged), so both cycles and work counters scale linearly.
+    run.cycles = conv.predicted_cycles * static_cast<std::uint64_t>(images);
+    run.cycles_predicted = true;
+    for (std::int64_t img = 0; img < images; ++img)
+      run.counters += conv.predicted;
+    for_each_lane_group(
+        fms, batch_out_fms_, scratch_ins_, scratch_outs_,
+        [&](const pack::TiledFm* const* ins, pack::TiledFm* const* outs,
+            int n) {
+          fast_exec_conv(ins, n, conv.fastw, conv, outs, run.fast);
+        });
+  } else {
+    engine_exec_conv(fms, conv, batch_out_fms_, run);
+  }
+  fms.swap(batch_out_fms_);
+  finish_layer(run);
+}
+
+void Runtime::engine_exec_conv(const std::vector<pack::TiledFm>& inputs,
+                               const ConvProgram& conv,
+                               std::vector<pack::TiledFm>& outputs,
+                               LayerRun& run) {
+  const core::ArchConfig& cfg = acc_.config();
+  const auto counters_before = core::snapshot(acc_.counters());
+  const auto dma_before = dma_.stats();
+  std::vector<std::uint64_t> instance_cycles(
+      static_cast<std::size_t>(cfg.instances), 0);
 
   ExecCtx ctx = exec_ctx();
   const LayerTracer tracer = begin_layer_trace(cfg.instances, "inst");
@@ -339,25 +351,29 @@ std::vector<pack::TiledFm> Runtime::run_conv_batch(
       ctx.trace = tracer.compute[instance];
       dma_.set_trace(tracer.dma[instance]);
     }
-    for (const ConvStripe::Chunk& chunk : stripe.chunks) {
-      // Weights once per chunk — the batch's whole point.
-      const std::vector<core::Instruction> instrs =
-          stage_chunk_weights(ctx, conv, stripe, chunk);
-      for (std::size_t img = 0; img < inputs.size(); ++img) {
-        const StripeOutcome outcome = exec_batch_image_chunk(
-            ctx, conv, stripe, chunk, instrs, inputs[img], outputs[img]);
-        instance_cycles[instance] += outcome.cycles;
-        run.batches += outcome.batches;
+    StripeOutcome outcome;
+    if (inputs.size() == 1) {
+      // A lone image stays in the banks across the stripe's weight chunks,
+      // so its stripe is staged once.
+      outcome = exec_conv_stripe(ctx, conv, stripe, inputs[0], outputs[0]);
+    } else {
+      for (const ConvStripe::Chunk& chunk : stripe.chunks) {
+        // Weights once per chunk — the batch's whole point.
+        const std::vector<core::Instruction> instrs =
+            stage_chunk_weights(ctx, conv, stripe, chunk);
+        for (std::size_t img = 0; img < inputs.size(); ++img)
+          outcome += exec_batch_image_chunk(ctx, conv, stripe, chunk, instrs,
+                                            inputs[img], outputs[img]);
       }
     }
+    instance_cycles[instance] += outcome.cycles;
+    run.batches += outcome.batches;
   }
   if (tracer) dma_.set_trace(nullptr);
   run.cycles = *std::max_element(instance_cycles.begin(),
                                  instance_cycles.end());
   run.counters = core::snapshot(acc_.counters()) - counters_before;
   run.dma = dma_.stats() - dma_before;
-  finish_layer(run);
-  return outputs;
 }
 
 std::vector<std::int8_t> Runtime::run_fc_as_conv(
@@ -375,146 +391,136 @@ std::vector<std::int8_t> Runtime::run_fc_as_conv(
     fm.at(c, 0, 0) = input[static_cast<std::size_t>(c)];
 
   run.name = "fc-as-conv";
-  const pack::TiledFm out = run_conv(pack::to_tiled(fm), fc_conv, run);
+  std::vector<pack::TiledFm> fms(1, pack::to_tiled(fm));
+  run_conv_batch(fms, fc_conv, run);
   run.kind = nn::LayerKind::kFullyConnected;
-  const nn::FeatureMapI8 linear = pack::from_tiled(out);
+  const nn::FeatureMapI8 linear = pack::from_tiled(fms.front());
   std::vector<std::int8_t> logits(static_cast<std::size_t>(out_dim));
   for (int o = 0; o < out_dim; ++o)
     logits[static_cast<std::size_t>(o)] = linear.at(o, 0, 0);
   return logits;
 }
 
-void Runtime::run_fused_pad_conv(const pack::TiledFm& input,
-                                 const ConvProgram& conv,
-                                 const FusedPadConvLayout& layout,
-                                 pack::TiledFm& output, LayerRun& pad_run,
-                                 LayerRun& conv_run) {
-  if (options_.mode == ExecMode::kFast) {
-    fast_fused_pad_conv(input, conv, layout, output, pad_run, conv_run);
-    return;
-  }
-  const core::ArchConfig& cfg = acc_.config();
-  TSCA_CHECK(layout.raw == input.shape(),
-             "fused layout compiled for a different input shape");
-  const WeightImage& wimg = conv.wimg;
-  const nn::FmShape raw = layout.raw;
-  const nn::FmShape out_shape = layout.out;
-  const int ofm_base = layout.ofm_base;
-  const int weight_base = layout.weight_base;
-  const int lanes = cfg.lanes;
+void Runtime::run_fused_pad_conv_batch(std::vector<pack::TiledFm>& fms,
+                                       const ConvProgram& conv,
+                                       const FusedPadConvLayout& layout,
+                                       LayerRun& pad_run, LayerRun& conv_run) {
+  TSCA_CHECK(!fms.empty());
+  for (const pack::TiledFm& fm : fms)
+    TSCA_CHECK(layout.raw == fm.shape(),
+               "fused layout compiled for a different input shape");
+  const auto images = static_cast<std::int64_t>(fms.size());
+
   pad_run.reset_stats();
-  conv_run.reset_stats();
-
-  const auto counters_before = core::snapshot(acc_.counters());
-  const auto dma_before = dma_.stats();
-
-  // Stage the raw input and every weight stream once (from the resident
-  // program image when this layer's owner is staged in DDR — identical
-  // transfers either way).
-  ExecCtx ctx = exec_ctx();
-  const bool resident =
-      conv.owner != 0 && conv.owner == ctx.resident_stamp;
-  const LayerTracer tracer = begin_layer_trace(1, "inst");
-  if (tracer) {
-    ctx.trace = tracer.compute[0];
-    dma_.set_trace(tracer.dma[0]);
-  }
-  for (int lane = 0; lane < lanes; ++lane) {
-    stage_to_bank(ctx, acc_.bank(lane), 0,
-                  bank_stripe_bytes(input, lane, lanes, 0,
-                                    pack::tiles_for(raw.h)));
-    int base = weight_base;
-    for (int g = 0; g < wimg.groups(); ++g) {
-      const std::vector<std::uint8_t>& bytes = wimg.bytes(g, lane);
-      if (resident && !bytes.empty()) {
-        dma_.to_bank(acc_.bank(lane), base,
-                     ctx.program_base + conv.stream_ddr_offset(g, lane),
-                     bytes.size());
-      } else {
-        stage_to_bank(ctx, acc_.bank(lane), base, bytes);
-      }
-      base += wimg.aligned_words(g);
-    }
-  }
-
-  // Batch 1: PAD into the on-chip padded region.  (A separate batch: the
-  // dependent CONV may only start once the pad's writes have landed, which
-  // the host guarantees by polling completion — exactly what the paper's
-  // driver does between dependent instructions.)
-  const core::PadPoolInstr pi = make_fused_pad_instr(layout);
-  const core::BatchStats pad_stats =
-      run_batch_traced(ctx, {core::Instruction::make_pad(pi)}, "fused pad");
   pad_run.on_accelerator = true;
   pad_run.kind = nn::LayerKind::kPad;
-  pad_run.cycles = pad_stats.cycles;
   pad_run.stripes = 1;
-  pad_run.batches = 1;
-  finish_layer(pad_run);
-
-  // Batch 2: all filter groups, reading the padded map in place.
-  std::vector<core::Instruction> instrs;
-  int base = weight_base;
-  for (int g = 0; g < wimg.groups(); ++g) {
-    instrs.push_back(
-        core::Instruction::make_conv(make_fused_conv_instr(conv, layout, g,
-                                                           base)));
-    base += wimg.aligned_words(g);
-  }
-  const core::BatchStats conv_stats =
-      run_batch_traced(ctx, instrs, "fused conv");
+  pad_run.batches = static_cast<int>(images);
+  conv_run.reset_stats();
   conv_run.on_accelerator = true;
   conv_run.kind = nn::LayerKind::kConv;
-  conv_run.cycles = conv_stats.cycles;
-  conv_run.macs = conv.macs;
+  conv_run.macs = conv.macs * images;
   conv_run.stripes = 1;
-  conv_run.batches = 1;
+  conv_run.batches = static_cast<int>(images);
 
-  // Read the OFM back.
-  output = pack::TiledFm(out_shape);
-  for (int lane = 0; lane < lanes; ++lane) {
-    const int lane_words =
-        core::lane_channel_count(out_shape.c, lane, lanes) *
-        pack::tiles_for(out_shape.h) * pack::tiles_for(out_shape.w);
-    if (lane_words == 0) continue;
-    unpack_bank_stripe(output,
-                       stage_from_bank(ctx, acc_.bank(lane), ofm_base,
-                                       lane_words),
-                       lane, lanes, 0, pack::tiles_for(out_shape.h));
+  // Same recycled-output discipline as run_conv_batch: outputs reuse pooled
+  // maps, the swap donates the old inputs back to the pool.
+  size_fm_vec(batch_out_fms_, fms.size());
+  for (pack::TiledFm& out : batch_out_fms_) out.reset(layout.out);
+  if (options_.mode == ExecMode::kFast) {
+    check_fast_fused(conv, layout);
+    // The engine replays the whole fusion once per image; predictions and
+    // counters fold linearly.
+    pad_run.cycles =
+        layout.predicted_pad_cycles * static_cast<std::uint64_t>(images);
+    pad_run.cycles_predicted = true;
+    conv_run.cycles =
+        layout.predicted_conv_cycles * static_cast<std::uint64_t>(images);
+    conv_run.cycles_predicted = true;
+    for (std::int64_t img = 0; img < images; ++img)
+      conv_run.counters += layout.predicted;
+    // The PAD batch never materializes on the host: fast_conv_padded lays
+    // the raw pixels shifted into its input planes, bit-identical to padding
+    // a TiledFm first.  Fused layers are unstriped by construction — no row
+    // bands to fan out — so the lane groups stay direct serial calls.
+    for_each_lane_group(
+        fms, batch_out_fms_, scratch_ins_, scratch_outs_,
+        [&](const pack::TiledFm* const* ins, pack::TiledFm* const* outs,
+            int n) {
+          core::fast_conv_padded(ins, n, conv.fastw, conv.bias, conv.rq,
+                                 layout.pad.top, layout.pad.left, outs, 0,
+                                 outs[0]->tiles_y(), &conv_run.fast,
+                                 &fast_scratch_);
+        });
+  } else {
+    const int lanes = acc_.config().lanes;
+    const WeightImage& wimg = conv.wimg;
+    const auto counters_before = core::snapshot(acc_.counters());
+    const auto dma_before = dma_.stats();
+    ExecCtx ctx = exec_ctx();
+    const bool resident =
+        conv.owner != 0 && conv.owner == ctx.resident_stamp;
+    const LayerTracer tracer = begin_layer_trace(1, "inst");
+    if (tracer) {
+      ctx.trace = tracer.compute[0];
+      dma_.set_trace(tracer.dma[0]);
+    }
+    const core::Instruction pad =
+        core::Instruction::make_pad(make_fused_pad_instr(layout));
+    std::vector<core::Instruction> convs;
+    int base = layout.weight_base;
+    for (int g = 0; g < wimg.groups(); ++g) {
+      convs.push_back(core::Instruction::make_conv(
+          make_fused_conv_instr(conv, layout, g, base)));
+      base += wimg.aligned_words(g);
+    }
+    for (std::size_t img = 0; img < fms.size(); ++img) {
+      // Stage the raw input and every weight stream (from the resident
+      // program image when this layer's owner is staged in DDR — identical
+      // transfers either way), once per image as a lone fusion would.
+      for (int lane = 0; lane < lanes; ++lane) {
+        stage_to_bank(ctx, acc_.bank(lane), 0,
+                      bank_stripe_bytes(fms[img], lane, lanes, 0,
+                                        pack::tiles_for(layout.raw.h)));
+        int wbase = layout.weight_base;
+        for (int g = 0; g < wimg.groups(); ++g) {
+          const std::vector<std::uint8_t>& bytes = wimg.bytes(g, lane);
+          if (resident && !bytes.empty()) {
+            dma_.to_bank(acc_.bank(lane), wbase,
+                         ctx.program_base + conv.stream_ddr_offset(g, lane),
+                         bytes.size());
+          } else {
+            stage_to_bank(ctx, acc_.bank(lane), wbase, bytes);
+          }
+          wbase += wimg.aligned_words(g);
+        }
+      }
+      // Batch 1: PAD into the on-chip padded region.  (A separate batch: the
+      // dependent CONV may only start once the pad's writes have landed,
+      // which the host guarantees by polling completion — exactly what the
+      // paper's driver does between dependent instructions.)
+      pad_run.cycles += run_batch_traced(ctx, {pad}, "fused pad").cycles;
+      // Batch 2: all filter groups, reading the padded map in place.
+      conv_run.cycles += run_batch_traced(ctx, convs, "fused conv").cycles;
+      // Read the OFM back.
+      const nn::FmShape& out = layout.out;
+      for (int lane = 0; lane < lanes; ++lane) {
+        const int lane_words = core::lane_channel_count(out.c, lane, lanes) *
+                               pack::tiles_for(out.h) * pack::tiles_for(out.w);
+        if (lane_words == 0) continue;
+        unpack_bank_stripe(batch_out_fms_[img],
+                           stage_from_bank(ctx, acc_.bank(lane),
+                                           layout.ofm_base, lane_words),
+                           lane, lanes, 0, pack::tiles_for(out.h));
+      }
+    }
+    if (tracer) dma_.set_trace(nullptr);
+    conv_run.counters = core::snapshot(acc_.counters()) - counters_before;
+    conv_run.dma = dma_.stats() - dma_before;
   }
-  if (tracer) dma_.set_trace(nullptr);
-  conv_run.counters = core::snapshot(acc_.counters()) - counters_before;
-  conv_run.dma = dma_.stats() - dma_before;
+  fms.swap(batch_out_fms_);
+  finish_layer(pad_run);
   finish_layer(conv_run);
-}
-
-pack::TiledFm Runtime::fast_conv_layer(const pack::TiledFm& input,
-                                       const ConvProgram& conv,
-                                       LayerRun& run) {
-  const ConvPlan& plan = conv.plan;
-  TSCA_CHECK(plan.in_shape == input.shape(),
-             "program compiled for a different input shape");
-  TSCA_CHECK(!plan.stripes.empty(),
-             "conv program has no striped plan (fused-only layer)");
-  check_fast_stripe_invariant(plan);
-  check_fast_conv(conv);
-
-  run.reset_stats();
-  run.on_accelerator = true;
-  run.kind = nn::LayerKind::kConv;
-  run.macs = conv.macs;
-  run.stripes = static_cast<int>(plan.stripes.size());
-  for (const ConvStripe& stripe : plan.stripes)
-    run.batches += static_cast<int>(stripe.chunks.size());
-  run.cycles = conv.predicted_cycles;
-  run.cycles_predicted = true;
-  run.counters = conv.predicted;
-
-  pack::TiledFm output(plan.out_shape);
-  const pack::TiledFm* in = &input;
-  pack::TiledFm* out = &output;
-  fast_exec_conv(&in, 1, conv.fastw, conv, &out, run.fast);
-  finish_layer(run);
-  return output;
 }
 
 void Runtime::fast_exec_conv(const pack::TiledFm* const* inputs, int batch,
@@ -560,200 +566,6 @@ pack::TiledFm Runtime::fast_pad_pool_layer(const pack::TiledFm& input,
   return output;
 }
 
-std::vector<pack::TiledFm> Runtime::fast_conv_batch(
-    const std::vector<pack::TiledFm>& inputs, const ConvProgram& conv,
-    LayerRun& run) {
-  std::vector<pack::TiledFm> fms = inputs;
-  fast_conv_batch_inplace(fms, conv, run);
-  return fms;
-}
-
-void Runtime::fast_conv_batch_inplace(std::vector<pack::TiledFm>& fms,
-                                      const ConvProgram& conv, LayerRun& run) {
-  TSCA_CHECK(!fms.empty());
-  for (const pack::TiledFm& fm : fms)
-    TSCA_CHECK(fm.shape() == fms.front().shape(),
-               "batch images must share a shape");
-  const ConvPlan& plan = conv.plan;
-  TSCA_CHECK(plan.in_shape == fms.front().shape(),
-             "program compiled for a different input shape");
-  check_fast_stripe_invariant(plan);
-  check_fast_conv(conv);
-  const auto images = static_cast<std::int64_t>(fms.size());
-
-  run.reset_stats();
-  run.on_accelerator = true;
-  run.kind = nn::LayerKind::kConv;
-  run.macs = conv.macs * images;
-  run.stripes = static_cast<int>(plan.stripes.size());
-  for (const ConvStripe& stripe : plan.stripes)
-    run.batches += static_cast<int>(stripe.chunks.size() * fms.size());
-  // The engine re-runs every chunk's instructions once per image (weights
-  // stay staged), so both cycles and work counters scale linearly.
-  run.cycles = conv.predicted_cycles * static_cast<std::uint64_t>(images);
-  run.cycles_predicted = true;
-  for (std::int64_t img = 0; img < images; ++img)
-    run.counters += conv.predicted;
-
-  // Outputs land in recycled storage; the final swap hands the old input
-  // maps back as the staging pool the next layer's outputs draw from, so a
-  // warm runtime runs whole networks without constructing a single map.
-  size_fm_vec(batch_out_fms_, fms.size());
-  for (pack::TiledFm& out : batch_out_fms_) out.reset(plan.out_shape);
-  // Batch-major lane groups: up to kFastBatchLanes images share each weight
-  // walk and gathered region.  Per-image outputs are identical to serial
-  // single-image runs (the layout only packs more values per vector op).
-  for (std::size_t i0 = 0; i0 < fms.size();
-       i0 += static_cast<std::size_t>(kFastBatchLanes)) {
-    const std::size_t n = std::min(static_cast<std::size_t>(kFastBatchLanes),
-                                   fms.size() - i0);
-    scratch_ins_.clear();
-    scratch_outs_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch_ins_.push_back(&fms[i0 + i]);
-      scratch_outs_.push_back(&batch_out_fms_[i0 + i]);
-    }
-    fast_exec_conv(scratch_ins_.data(), static_cast<int>(n), conv.fastw, conv,
-                   scratch_outs_.data(), run.fast);
-  }
-  fms.swap(batch_out_fms_);
-  finish_layer(run);
-}
-
-void Runtime::fast_fused_pad_conv(const pack::TiledFm& input,
-                                  const ConvProgram& conv,
-                                  const FusedPadConvLayout& layout,
-                                  pack::TiledFm& output, LayerRun& pad_run,
-                                  LayerRun& conv_run) {
-  TSCA_CHECK(layout.raw == input.shape(),
-             "fused layout compiled for a different input shape");
-  check_fast_fused(conv, layout);
-
-  pad_run.reset_stats();
-  conv_run.reset_stats();
-  output = pack::TiledFm(layout.out);
-  // The PAD batch never materializes on the host: fast_conv_padded lays the
-  // raw pixels shifted into its input planes, bit-identical to padding a
-  // TiledFm first.  Fused layers are unstriped by construction — no row
-  // bands to fan out — so this stays a direct serial call.
-  const pack::TiledFm* in = &input;
-  pack::TiledFm* out = &output;
-  core::fast_conv_padded(&in, 1, conv.fastw, conv.bias, conv.rq,
-                         layout.pad.top, layout.pad.left, &out, 0,
-                         output.tiles_y(),
-                         &conv_run.fast, &fast_scratch_);
-
-  pad_run.on_accelerator = true;
-  pad_run.kind = nn::LayerKind::kPad;
-  pad_run.cycles = layout.predicted_pad_cycles;
-  pad_run.cycles_predicted = true;
-  pad_run.stripes = 1;
-  pad_run.batches = 1;
-  finish_layer(pad_run);
-
-  conv_run.on_accelerator = true;
-  conv_run.kind = nn::LayerKind::kConv;
-  conv_run.cycles = layout.predicted_conv_cycles;
-  conv_run.cycles_predicted = true;
-  conv_run.macs = conv.macs;
-  conv_run.stripes = 1;
-  conv_run.batches = 1;
-  conv_run.counters = layout.predicted;
-  finish_layer(conv_run);
-}
-
-void Runtime::fast_fused_pad_conv_batch(std::vector<pack::TiledFm>& fms,
-                                        const ConvProgram& conv,
-                                        const FusedPadConvLayout& layout,
-                                        LayerRun& pad_run, LayerRun& conv_run) {
-  check_fast_fused(conv, layout);
-  const auto images = static_cast<std::int64_t>(fms.size());
-  for (const pack::TiledFm& fm : fms)
-    TSCA_CHECK(layout.raw == fm.shape(),
-               "fused layout compiled for a different input shape");
-
-  // The engine replays the whole fusion once per image; predictions and
-  // counters fold linearly, exactly like the serial per-image loop.
-  pad_run.reset_stats();
-  pad_run.on_accelerator = true;
-  pad_run.kind = nn::LayerKind::kPad;
-  pad_run.cycles = layout.predicted_pad_cycles * static_cast<std::uint64_t>(images);
-  pad_run.cycles_predicted = true;
-  pad_run.stripes = 1;
-  pad_run.batches = static_cast<int>(images);
-
-  conv_run.reset_stats();
-  conv_run.on_accelerator = true;
-  conv_run.kind = nn::LayerKind::kConv;
-  conv_run.cycles =
-      layout.predicted_conv_cycles * static_cast<std::uint64_t>(images);
-  conv_run.cycles_predicted = true;
-  conv_run.macs = conv.macs * images;
-  conv_run.stripes = 1;
-  conv_run.batches = static_cast<int>(images);
-  for (std::int64_t img = 0; img < images; ++img)
-    conv_run.counters += layout.predicted;
-
-  // Same recycled-output discipline as fast_conv_batch_inplace: outputs
-  // reuse pooled maps, the swap donates the old inputs back to the pool.
-  size_fm_vec(batch_out_fms_, fms.size());
-  for (pack::TiledFm& out : batch_out_fms_) out.reset(layout.out);
-  for (std::size_t i0 = 0; i0 < fms.size();
-       i0 += static_cast<std::size_t>(kFastBatchLanes)) {
-    const std::size_t n = std::min(static_cast<std::size_t>(kFastBatchLanes),
-                                   fms.size() - i0);
-    scratch_ins_.clear();
-    scratch_outs_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch_ins_.push_back(&fms[i0 + i]);
-      scratch_outs_.push_back(&batch_out_fms_[i0 + i]);
-    }
-    core::fast_conv_padded(scratch_ins_.data(), static_cast<int>(n), conv.fastw,
-                           conv.bias, conv.rq, layout.pad.top, layout.pad.left,
-                           scratch_outs_.data(), 0,
-                           batch_out_fms_[i0].tiles_y(), &conv_run.fast,
-                           &fast_scratch_);
-  }
-  fms.swap(batch_out_fms_);
-  finish_layer(pad_run);
-  finish_layer(conv_run);
-}
-
-std::vector<std::int8_t> Runtime::fast_fc(const std::vector<std::int8_t>& in,
-                                          const FcProgram& fc) {
-  TSCA_CHECK(fc.out_dim > 0);
-  TSCA_CHECK(fc.weights.size() ==
-             in.size() * static_cast<std::size_t>(fc.out_dim));
-  TSCA_CHECK(fc.bias.empty() ||
-             static_cast<int>(fc.bias.size()) == fc.out_dim);
-  const core::simd::SimdBackend& be = core::simd::backend();
-  const int groups = static_cast<int>(in.size()) / 16;
-  const std::size_t head = static_cast<std::size_t>(groups) * 16;
-  std::vector<std::int8_t> out(static_cast<std::size_t>(fc.out_dim));
-  for (int o = 0; o < fc.out_dim; ++o) {
-    const std::int8_t* row =
-        &fc.weights[static_cast<std::size_t>(o) * in.size()];
-    // Wrapping int32 accumulation is order-independent, so the vector dot
-    // plus a scalar tail equals nn::fc_i8's sequential sum bit-for-bit.
-    std::uint32_t acc = static_cast<std::uint32_t>(
-        fc.bias.empty() ? 0 : fc.bias[static_cast<std::size_t>(o)]);
-    acc += static_cast<std::uint32_t>(be.dot(in.data(), row, groups));
-    for (std::size_t i = head; i < in.size(); ++i)
-      acc += static_cast<std::uint32_t>(static_cast<std::int32_t>(row[i]) *
-                                        in[i]);
-    out[static_cast<std::size_t>(o)] =
-        nn::requantize(static_cast<std::int32_t>(acc), fc.rq);
-  }
-  return out;
-}
-
-std::vector<std::vector<std::int8_t>> Runtime::fast_fc_batch(
-    const std::vector<std::vector<std::int8_t>>& ins, const FcProgram& fc) {
-  std::vector<std::vector<std::int8_t>> outs;
-  fast_fc_batch(ins, fc, outs);
-  return outs;
-}
-
 void Runtime::fast_fc_batch(const std::vector<std::vector<std::int8_t>>& ins,
                             const FcProgram& fc,
                             std::vector<std::vector<std::int8_t>>& outs) {
@@ -781,7 +593,8 @@ void Runtime::fast_fc_batch(const std::vector<std::vector<std::int8_t>>& ins,
         fc.bias.empty() ? 0 : fc.bias[static_cast<std::size_t>(o)]);
     // Image-inner: the row stays cache-hot across the whole batch, and four
     // images at a time share each of the row's register loads (dot4).  The
-    // per-image arithmetic is exactly fast_fc's, so outputs are bit-equal.
+    // per-image arithmetic is one image's dot plus a scalar tail, exactly
+    // the leftover loop below, so outputs are bit-equal.
     std::size_t i = 0;
     for (; i + 4 <= ins.size(); i += 4) {
       const std::int8_t* quad[4] = {ins[i].data(), ins[i + 1].data(),
@@ -947,106 +760,9 @@ void fold_layer_run(LayerRun& agg, const LayerRun& one) {
   agg.counters += one.counters;
   agg.dma += one.dma;
   agg.fast += one.fast;
-  agg.host_wall_us += one.host_wall_us;
 }
 
 }  // namespace
-
-NetworkRun Runtime::run_network(const NetworkProgram& program,
-                                const nn::FeatureMapI8& input) {
-  TSCA_CHECK(input.shape() == program.net().input_shape(),
-             "input shape mismatch");
-  ensure_program_staged(program);
-  const std::vector<nn::LayerSpec>& layers = program.net().layers();
-  NetworkRun result;
-  pack::TiledFm fm = pack::to_tiled(input);
-  std::vector<std::int8_t> flat;
-  bool is_flat = false;
-  // Residual-skip tensor slots: a step stamped save_slot parks its output
-  // here; kEltwiseAdd steps read their right-hand operand back out.
-  std::vector<pack::TiledFm> slots(
-      static_cast<std::size_t>(program.slot_count()));
-
-  const std::uint64_t clock0 = trace_clock_;
-  for (const NetworkProgram::Step& step : program.steps()) {
-    check_cancel(options_);
-    check_budget(options_, trace_clock_ - clock0);
-    const nn::LayerSpec& spec = layers[step.layer];
-    const auto step_t0 = std::chrono::steady_clock::now();
-    LayerRun run;
-    run.name = spec.name;
-    run.kind = spec.kind;
-    switch (step.exec) {
-      case NetworkProgram::Step::Exec::kFusedPadConv: {
-        // PAD + following CONV as one on-chip fusion (decided at compile
-        // time); the step covers both layers.
-        LayerRun conv_run;
-        conv_run.name = layers[step.layer + 1].name;
-        pack::TiledFm fused_out;
-        run_fused_pad_conv(fm, program.conv(step.conv),
-                           program.fused(step.fused), fused_out, run,
-                           conv_run);
-        conv_run.host_wall_us = us_since(step_t0);
-        if (options_.keep_activations) {
-          // The padded intermediate never left the chip; reconstruct it for
-          // callers that asked for every activation.
-          result.activations.push_back(
-              nn::pad_i8(pack::from_tiled(fm), spec.pad));
-        }
-        fm = std::move(fused_out);
-        if (step.save_slot >= 0)
-          slots[static_cast<std::size_t>(step.save_slot)] = fm;
-        result.layers.push_back(std::move(run));
-        if (options_.keep_activations)
-          result.activations.push_back(pack::from_tiled(fm));
-        result.layers.push_back(std::move(conv_run));
-        continue;
-      }
-      case NetworkProgram::Step::Exec::kPadPool:
-      case NetworkProgram::Step::Exec::kGlobalPool:
-        fm = run_pad_pool(fm, program.pool(step.pool), run);
-        break;
-      case NetworkProgram::Step::Exec::kConv:
-        fm = run_conv(fm, program.conv(step.conv), run);
-        break;
-      case NetworkProgram::Step::Exec::kFlatten: {
-        const nn::FeatureMapI8 linear = pack::from_tiled(fm);
-        flat.assign(linear.data(), linear.data() + linear.size());
-        is_flat = true;
-        break;
-      }
-      case NetworkProgram::Step::Exec::kFc: {
-        const FcProgram& fc = program.fc(step.fc);
-        flat = options_.mode == ExecMode::kFast
-                   ? fast_fc(flat, fc)
-                   : nn::fc_i8(flat, fc.weights, fc.bias, fc.out_dim, fc.rq);
-        break;
-      }
-      case NetworkProgram::Step::Exec::kSoftmax:
-        break;  // host-side, float domain; logits pass through
-      case NetworkProgram::Step::Exec::kEltwiseAdd:
-        // Host-side in every ExecMode — one shared kernel, zero cycles,
-        // zero counters, so cycle/thread/fast agreement is structural.
-        // Adds in place: the combine is element-wise, so aliasing is exact.
-        core::fast_eltwise_add(fm,
-                               slots[static_cast<std::size_t>(step.rhs_slot)],
-                               program.eltwise(step.eltwise), fm);
-        break;
-    }
-    if (step.save_slot >= 0)
-      slots[static_cast<std::size_t>(step.save_slot)] = fm;
-    run.host_wall_us = us_since(step_t0);
-    if (options_.keep_activations && !is_flat)
-      result.activations.push_back(pack::from_tiled(fm));
-    result.layers.push_back(std::move(run));
-  }
-  result.flat_output = is_flat;
-  if (is_flat)
-    result.logits = std::move(flat);
-  else
-    result.final_fm = pack::from_tiled(fm);
-  return result;
-}
 
 BatchNetworkRun Runtime::run_network_batch(
     const NetworkProgram& program,
@@ -1083,10 +799,13 @@ BatchNetworkRun Runtime::run_network_batch(const NetworkProgram& program,
   // two reused buffers instead of allocating the output fresh.
   std::vector<std::vector<std::int8_t>>* flats_cur = &batch_flats_;
   bool is_flat = false;
-  // Residual-skip tensor slots, one map per slot per image.
+  // Residual-skip tensor slots, one map per slot per image: a step stamped
+  // save_slot parks its outputs here; kEltwiseAdd steps read their
+  // right-hand operand back out.
   batch_slots_.resize(static_cast<std::size_t>(program.slot_count()));
   for (std::vector<pack::TiledFm>& slot : batch_slots_) slot.resize(n);
   std::vector<std::vector<pack::TiledFm>>& slots = batch_slots_;
+  const bool keep = options_.keep_activations;
 
   const std::uint64_t clock0 = trace_clock_;
   for (const NetworkProgram::Step& step : program.steps()) {
@@ -1099,47 +818,37 @@ BatchNetworkRun Runtime::run_network_batch(const NetworkProgram& program,
     agg.kind = spec.kind;
     switch (step.exec) {
       case NetworkProgram::Step::Exec::kFusedPadConv: {
+        // PAD + following CONV as one on-chip fusion (decided at compile
+        // time); the step covers both layers.  The padded intermediate never
+        // leaves the chip, so it is reconstructed for callers that asked for
+        // every activation.
+        if (keep)
+          for (std::size_t i = 0; i < n; ++i)
+            result.requests[i].activations.push_back(
+                nn::pad_i8(pack::from_tiled(fms[i]), spec.pad));
         LayerRun conv_agg;
         conv_agg.name = layers[step.layer + 1].name;
-        conv_agg.kind = layers[step.layer + 1].kind;
-        if (options_.mode == ExecMode::kFast) {
-          // Batch-major: every lane group shares the fused layer's weight
-          // walk; aggregate predictions match the per-image loop exactly.
-          fast_fused_pad_conv_batch(fms, program.conv(step.conv),
-                                    program.fused(step.fused), agg, conv_agg);
-          conv_agg.host_wall_us = us_since(step_t0);
-        } else {
-          for (std::size_t i = 0; i < n; ++i) {
-            LayerRun pad_one, conv_one;
-            pack::TiledFm fused_out;
-            run_fused_pad_conv(fms[i], program.conv(step.conv),
-                               program.fused(step.fused), fused_out, pad_one,
-                               conv_one);
-            fms[i] = std::move(fused_out);
-            fold_layer_run(agg, pad_one);
-            fold_layer_run(conv_agg, conv_one);
-          }
-        }
-        if (step.save_slot >= 0)
-          slots[static_cast<std::size_t>(step.save_slot)] = fms;
+        run_fused_pad_conv_batch(fms, program.conv(step.conv),
+                                 program.fused(step.fused), agg, conv_agg);
+        // The PAD record goes out first; the CONV record is this step's
+        // record below and is charged the whole fusion's host time.
         result.layers.push_back(std::move(agg));
-        result.layers.push_back(std::move(conv_agg));
-        continue;  // two layers pushed
+        agg = std::move(conv_agg);
+        break;
       }
       case NetworkProgram::Step::Exec::kPadPool:
-      case NetworkProgram::Step::Exec::kGlobalPool:
+      case NetworkProgram::Step::Exec::kGlobalPool: {
+        // Each image's record carries the layer name into its trace span.
+        LayerRun one;
+        one.name = spec.name;
         for (std::size_t i = 0; i < n; ++i) {
-          LayerRun one;
           fms[i] = run_pad_pool(fms[i], program.pool(step.pool), one);
           fold_layer_run(agg, one);
         }
         break;
+      }
       case NetworkProgram::Step::Exec::kConv:
-        // The batched path: every weight chunk staged once for all images.
-        if (options_.mode == ExecMode::kFast)
-          fast_conv_batch_inplace(fms, program.conv(step.conv), agg);
-        else
-          fms = run_conv_batch(fms, program.conv(step.conv), agg);
+        run_conv_batch(fms, program.conv(step.conv), agg);
         break;
       case NetworkProgram::Step::Exec::kFlatten:
         for (std::size_t i = 0; i < n; ++i) {
@@ -1149,23 +858,19 @@ BatchNetworkRun Runtime::run_network_batch(const NetworkProgram& program,
         is_flat = true;
         break;
       case NetworkProgram::Step::Exec::kFc: {
-        const FcProgram& fc = program.fc(step.fc);
-        if (options_.mode == ExecMode::kFast) {
-          // Outputs can't alias inputs, so alternate the two reused buffers.
-          std::vector<std::vector<std::int8_t>>* next =
-              flats_cur == &batch_flats_ ? &batch_flats2_ : &batch_flats_;
-          fast_fc_batch(*flats_cur, fc, *next);
-          flats_cur = next;
-        } else {
-          for (std::size_t i = 0; i < n; ++i)
-            (*flats_cur)[i] = nn::fc_i8((*flats_cur)[i], fc.weights, fc.bias,
-                                        fc.out_dim, fc.rq);
-        }
+        // Host-side in every ExecMode.  Outputs can't alias inputs, so
+        // alternate the two reused buffers.
+        std::vector<std::vector<std::int8_t>>* next =
+            flats_cur == &batch_flats_ ? &batch_flats2_ : &batch_flats_;
+        fast_fc_batch(*flats_cur, program.fc(step.fc), *next);
+        flats_cur = next;
         break;
       }
       case NetworkProgram::Step::Exec::kSoftmax:
         break;  // host-side, float domain; logits pass through
       case NetworkProgram::Step::Exec::kEltwiseAdd: {
+        // Host-side in every ExecMode — one shared kernel, zero cycles,
+        // zero counters, so cycle/thread/fast agreement is structural.
         const std::vector<pack::TiledFm>& rhs =
             slots[static_cast<std::size_t>(step.rhs_slot)];
         // In place: fast_eltwise_add's combine is element-wise, so writing
@@ -1179,6 +884,9 @@ BatchNetworkRun Runtime::run_network_batch(const NetworkProgram& program,
     if (step.save_slot >= 0)
       slots[static_cast<std::size_t>(step.save_slot)] = fms;
     agg.host_wall_us = us_since(step_t0);
+    if (keep && !is_flat)
+      for (std::size_t i = 0; i < n; ++i)
+        result.requests[i].activations.push_back(pack::from_tiled(fms[i]));
     result.layers.push_back(std::move(agg));
   }
 

@@ -51,7 +51,7 @@ inline hls::Mode engine_mode(ExecMode mode) {
 
 struct RuntimeOptions {
   ExecMode mode = ExecMode::kCycle;
-  bool keep_activations = false;  // return every layer's feature map
+  bool keep_activations = false;  // return every layer's map, per image
   // Observability (both null by default = disabled, near-zero overhead).
   // `trace` records per-layer / per-stripe / per-batch spans and DMA
   // transfers in simulated cycles; `metrics` aggregates counters and layer
@@ -62,23 +62,22 @@ struct RuntimeOptions {
   obs::MetricsRegistry* metrics = nullptr;
   std::string trace_scope = {};  // NSDMI: keeps designated inits warning-free
   bool trace_kernels = false;
-  // Cooperative cancellation: when non-null, run_network / run_network_batch
-  // poll the flag between steps and abort by throwing RequestCancelled.  The
+  // Cooperative cancellation: when non-null, run_network_batch polls the
+  // flag between steps and aborts by throwing RequestCancelled.  The
   // serving layer uses this to stop in-flight requests without waiting for a
   // whole network pass to drain.
   const std::atomic<bool>* cancel = nullptr;
-  // Per-run simulated-cycle budget: when non-zero, run_network /
-  // run_network_batch throw BudgetExceeded once the run has advanced more
-  // than this many cycles past its starting trace clock (checked between
-  // steps, like `cancel`).  The serving layer derives it from per-request
-  // execution budgets so a pathological request cannot hog a worker.
+  // Per-run simulated-cycle budget: when non-zero, run_network_batch throws
+  // BudgetExceeded once the run has advanced more than this many cycles
+  // past its starting trace clock (checked between steps, like `cancel`).
+  // The serving layer derives it from per-request execution budgets so a
+  // pathological request cannot hog a worker.
   std::uint64_t cycle_budget = 0;
 };
 
-// Thrown by run_network / run_network_batch when RuntimeOptions::cancel was
-// raised mid-execution.  Completed layers' side effects (counters, DMA
-// statistics in the context) remain — the request's outputs are simply never
-// produced.
+// Thrown by run_network_batch when RuntimeOptions::cancel was raised
+// mid-execution.  Completed layers' side effects (counters, DMA statistics
+// in the context) remain — the request's outputs are simply never produced.
 class RequestCancelled : public std::exception {
  public:
   const char* what() const noexcept override { return "request cancelled"; }
@@ -134,20 +133,23 @@ struct LayerRun {
   }
 };
 
+// One image's outputs from a network execution.
 struct NetworkRun {
-  std::vector<LayerRun> layers;
   std::vector<std::int8_t> logits;       // final flat activation (if any)
   nn::FeatureMapI8 final_fm;             // final feature map (if not flat)
   bool flat_output = false;
-  std::vector<nn::FeatureMapI8> activations;  // per layer, if requested
+  // Every layer's output map up to the flatten, when
+  // RuntimeOptions::keep_activations is set (a fused PAD+CONV step yields
+  // the padded map it kept on chip, then the conv output).
+  std::vector<nn::FeatureMapI8> activations;
 };
 
-// One batched execution of a compiled network over same-shaped inputs.
-// Outputs are bit-identical to running each input through run_network alone;
-// statistics are aggregated per layer over the whole batch (a conv layer's
-// cycles/counters/DMA cover all images, with each weight chunk staged once —
-// the amortization dynamic batching buys).  The per-request NetworkRuns carry
-// outputs only; their `layers` vectors stay empty.
+// One execution of a compiled network over same-shaped inputs.  Each image's
+// outputs are bit-identical to running it as a batch of one; statistics are
+// aggregated per layer over the whole batch (a conv layer's cycles/counters/
+// DMA cover all images, with each weight chunk staged once — the
+// amortization dynamic batching buys).  A batch of one moves exactly the
+// single-image DMA: its input stripes are staged once per stripe.
 struct BatchNetworkRun {
   std::vector<LayerRun> layers;
   std::vector<NetworkRun> requests;
@@ -174,52 +176,48 @@ class Runtime {
   // no packing, planning, or fusion decisions happen on the request path.
   // ExecMode::kFast refuses an artifact its compiler did not finish (no
   // decoded weights, predictions or fast pool plans) instead of deriving
-  // them per call.  Virtual: the pool runtime (pool_runtime.hpp) dispatches
-  // the stripes onto worker threads instead of the serial loops here.
-
-  // Executes one compiled convolution over an already-padded input feature
-  // map.  Returns the output map; fills `run` with statistics.
-  virtual pack::TiledFm run_conv(const pack::TiledFm& input,
-                                 const ConvProgram& conv, LayerRun& run);
+  // them per call.  Each entry point picks kFast or the simulation engine
+  // itself; the pool runtime (pool_runtime.hpp) dispatches the stripes onto
+  // worker threads instead of the serial loops here.
 
   // Executes a planned PAD or POOL layer.
   virtual pack::TiledFm run_pad_pool(const pack::TiledFm& input,
                                      const PoolPlan& plan, LayerRun& run);
 
-  // Batched convolution: one striping/chunking plan, weights staged once per
-  // chunk and reused across all images (the embedded-inference batching the
-  // paper's driver would do for throughput workloads).  Statistics in `run`
-  // cover the whole batch.
-  virtual std::vector<pack::TiledFm> run_conv_batch(
-      const std::vector<pack::TiledFm>& inputs, const ConvProgram& conv,
-      LayerRun& run);
+  // Executes one compiled convolution over a batch of already-padded,
+  // same-shaped maps, replacing `fms` with the outputs in place (the input
+  // maps' storage is recycled through the runtime's feature-map pool).  One
+  // striping/chunking plan serves every image; with more than one image each
+  // weight chunk is staged once and reused across the batch (the
+  // embedded-inference batching the paper's driver would do for throughput
+  // workloads), while a lone image stays in the banks across its stripe's
+  // chunks.  Statistics in `run` cover the whole batch.
+  void run_conv_batch(std::vector<pack::TiledFm>& fms, const ConvProgram& conv,
+                      LayerRun& run);
 
-  // Executes a compiled FC-as-1x1-conv layer (compile_fc_conv) and returns
-  // the logits.
+  // Executes a compiled FC-as-1x1-conv layer (compile_fc_conv) as a batch of
+  // one and returns the logits.
   std::vector<std::int8_t> run_fc_as_conv(const std::vector<std::int8_t>& input,
                                           const ConvProgram& fc_conv,
                                           LayerRun& run);
 
-  // Executes PAD and the following convolution as one instruction batch with
-  // the padded map living only on chip, against a compile_fused_pad_conv
-  // result (`conv.plan` is unused — fused layers are unstriped).
-  void run_fused_pad_conv(const pack::TiledFm& input, const ConvProgram& conv,
-                          const FusedPadConvLayout& layout,
-                          pack::TiledFm& output, LayerRun& pad_run,
-                          LayerRun& conv_run);
-
-  // Executes a compiled network: pad/conv/pool on the accelerator, flatten/
-  // FC/softmax on the host.  Stages the program's weight image into DDR on
-  // first use (ensure_program_staged); any number of executions share the
-  // same const program.
-  NetworkRun run_network(const NetworkProgram& program,
-                         const nn::FeatureMapI8& input);
+  // Executes PAD and the following convolution as one fusion per image, the
+  // padded map living only on chip, against a compile_fused_pad_conv result
+  // (`conv.plan` is unused — fused layers are unstriped).  Replaces `fms`
+  // with the conv outputs in place, like run_conv_batch; pad_run/conv_run
+  // aggregate the batch (DMA and counters are charged to conv_run).
+  void run_fused_pad_conv_batch(std::vector<pack::TiledFm>& fms,
+                                const ConvProgram& conv,
+                                const FusedPadConvLayout& layout,
+                                LayerRun& pad_run, LayerRun& conv_run);
 
   // Executes a compiled network over a batch of same-shaped inputs in one
-  // pass: conv layers go through run_conv_batch (weights staged once per
-  // chunk for the whole batch), everything else loops per image.  Outputs
-  // are bit-identical to per-input run_network; see BatchNetworkRun for the
-  // statistics contract.
+  // pass — the one network executor; a single image runs as a batch of one.
+  // Pad/conv/pool run on the accelerator, flatten/FC/softmax on the host.
+  // Conv layers go through run_conv_batch, pad/pool layers loop per image.
+  // Stages the program's weight image into DDR on first use
+  // (ensure_program_staged); any number of executions share the same const
+  // program.  See BatchNetworkRun for the statistics contract.
   BatchNetworkRun run_network_batch(const NetworkProgram& program,
                                     const std::vector<nn::FeatureMapI8>& inputs);
 
@@ -288,23 +286,19 @@ class Runtime {
   // Execution context over this runtime's accelerator/DDR/DMA, residency
   // fields included.
   ExecCtx exec_ctx();
-  // ExecMode::kFast layer bodies (core/fastpath.hpp executors + PerfModel
-  // statistics).  The program entry points branch here before touching the
-  // simulator; PoolRuntime delegates back to these too, and parallelism
-  // enters through the fast_exec_* hooks below.
-  pack::TiledFm fast_conv_layer(const pack::TiledFm& input,
-                                const ConvProgram& conv, LayerRun& run);
+  // ExecMode::kFast pad/pool body (core/fastpath.hpp executor + PerfModel
+  // statistics); run_pad_pool branches here before touching the simulator.
   pack::TiledFm fast_pad_pool_layer(const pack::TiledFm& input,
                                     const PoolPlan& plan, LayerRun& run);
-  std::vector<pack::TiledFm> fast_conv_batch(
-      const std::vector<pack::TiledFm>& inputs, const ConvProgram& conv,
-      LayerRun& run);
-  // Warm-path form: replaces `fms` with the layer's outputs in place,
-  // recycling the input maps' storage through the runtime's feature-map
-  // pool instead of freeing it.  Outputs and statistics are bit-identical
-  // to fast_conv_batch.
-  void fast_conv_batch_inplace(std::vector<pack::TiledFm>& fms,
-                               const ConvProgram& conv, LayerRun& run);
+  // Engine body of run_conv_batch: runs the stripe schedule for every image
+  // of `inputs` on the simulation engine, writing the pre-shaped `outputs`,
+  // and fills run.cycles/batches/counters/dma.  The serial body walks the
+  // stripes on this runtime's accelerator; PoolRuntime fans (image × stripe)
+  // units out across its workers, with bit-identical statistics.
+  virtual void engine_exec_conv(const std::vector<pack::TiledFm>& inputs,
+                                const ConvProgram& conv,
+                                std::vector<pack::TiledFm>& outputs,
+                                LayerRun& run);
   // Fast executor hooks.  The serial bodies below run one full-height
   // batch-major call (conv) / a serial stripe loop (pad-pool); PoolRuntime
   // overrides them to fan the plan's stripe row-bands out across its
@@ -318,31 +312,13 @@ class Runtime {
                               core::FastConvStats& stats);
   virtual void fast_exec_pool(const pack::TiledFm& input, const PoolPlan& plan,
                               pack::TiledFm& output);
-  void fast_fused_pad_conv(const pack::TiledFm& input, const ConvProgram& conv,
-                           const FusedPadConvLayout& layout,
-                           pack::TiledFm& output, LayerRun& pad_run,
-                           LayerRun& conv_run);
-  // Batch-major fused pad+conv: all images share each weight walk in lane
-  // groups of kFastBatchLanes (per-image outputs identical to serial runs);
-  // pad_run/conv_run aggregate the per-image predictions exactly like the
-  // serial per-image fold.
-  void fast_fused_pad_conv_batch(std::vector<pack::TiledFm>& fms,
-                                 const ConvProgram& conv,
-                                 const FusedPadConvLayout& layout,
-                                 LayerRun& pad_run, LayerRun& conv_run);
-  // ExecMode::kFast host FC: SimdBackend::dot per output row.  Bit-identical
-  // to nn::fc_i8 — int32 accumulation wraps mod 2^32 in any order — just
-  // vectorized through the dispatched backend.
-  std::vector<std::int8_t> fast_fc(const std::vector<std::int8_t>& in,
-                                   const FcProgram& fc);
-  // Batch-major FC: output-row outer, image inner, so each weight row is
-  // streamed from memory once per batch instead of once per image (the FC
-  // layers are memory-bound — the weight matrix dwarfs every activation).
-  // Per-image results are bit-identical to fast_fc.
-  std::vector<std::vector<std::int8_t>> fast_fc_batch(
-      const std::vector<std::vector<std::int8_t>>& ins, const FcProgram& fc);
-  // Reuse form: sizes `outs` (recycling element capacity) and fills it.
-  // `outs` must not alias `ins`.
+  // Host FC, batch-major: output-row outer, image inner, so each weight row
+  // is streamed from memory once per batch instead of once per image (the
+  // FC layers are memory-bound — the weight matrix dwarfs every
+  // activation).  SimdBackend dot/dot4 per row; bit-identical to nn::fc_i8
+  // in every ExecMode, since int32 accumulation wraps mod 2^32 in any
+  // order.  Sizes `outs` (recycling element capacity) and fills it; `outs`
+  // must not alias `ins`.
   void fast_fc_batch(const std::vector<std::vector<std::int8_t>>& ins,
                      const FcProgram& fc,
                      std::vector<std::vector<std::int8_t>>& outs);

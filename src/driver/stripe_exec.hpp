@@ -57,6 +57,12 @@ std::vector<std::uint8_t> stage_from_bank(ExecCtx& ctx,
 struct StripeOutcome {
   std::uint64_t cycles = 0;  // accelerator cycles accumulated by this unit
   int batches = 0;           // instruction batches submitted
+
+  StripeOutcome& operator+=(const StripeOutcome& other) {
+    cycles += other.cycles;
+    batches += other.batches;
+    return *this;
+  }
 };
 
 // Accelerator::run_batch with the context's instrumentation applied: records

@@ -7,6 +7,7 @@
 #include "nn/layers.hpp"
 #include "pack/weight_pack.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -68,8 +69,8 @@ TEST_P(ConvMatrix, MatchesInt8Reference) {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = mode});
   driver::LayerRun run;
-  const pack::TiledFm out = runtime.run_conv(
-      pack::to_tiled(input),
+  const pack::TiledFm out = conv_image(
+      runtime, pack::to_tiled(input),
       driver::compile_conv(acc.config(), input.shape(),
                            pack::pack_filters(filters), bias, rq),
       run);
@@ -227,8 +228,8 @@ TEST(ConvStriping, TinyBanksForceStripesAndChunksExactResult) {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun run;
-  const pack::TiledFm out = runtime.run_conv(
-      pack::to_tiled(input),
+  const pack::TiledFm out = conv_image(
+      runtime, pack::to_tiled(input),
       driver::compile_conv(cfg, input.shape(), pack::pack_filters(filters),
                            bias, rq),
       run);
@@ -255,8 +256,8 @@ TEST(ZeroSkip, SparseLayerRunsFasterThanDense) {
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
     driver::LayerRun run;
-    const pack::TiledFm out = runtime.run_conv(
-        pack::to_tiled(input),
+    const pack::TiledFm out = conv_image(
+        runtime, pack::to_tiled(input),
         driver::compile_conv(acc.config(), input.shape(),
                              pack::pack_filters(filters), bias, rq),
         run);

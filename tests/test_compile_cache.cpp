@@ -23,6 +23,7 @@
 #include "sim/dma.hpp"
 #include "sim/dram.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -57,15 +58,14 @@ core::ArchConfig small_config() {
   return cfg;
 }
 
-driver::NetworkRun run_program(const driver::NetworkProgram& program,
-                               const nn::FeatureMapI8& input,
-                               driver::ExecMode mode) {
+ImageRun run_program(const driver::NetworkProgram& program,
+                     const nn::FeatureMapI8& input, driver::ExecMode mode) {
   core::Accelerator acc(program.config());
   sim::Dram dram(32u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma,
                           {.mode = mode, .keep_activations = true});
-  return runtime.run_network(program, input);
+  return run_image(runtime, program, input);
 }
 
 struct ZooCase {
@@ -179,8 +179,8 @@ TEST_P(CompileCacheZoo, CachedProgramExecutesBitExactly) {
   const nn::FeatureMapI8 input = make_input(m.net.input_shape(), 0x900);
   for (const driver::ExecMode mode :
        {driver::ExecMode::kCycle, driver::ExecMode::kFast}) {
-    const driver::NetworkRun a = run_program(fresh, input, mode);
-    const driver::NetworkRun b = run_program(*cached, input, mode);
+    const ImageRun a = run_program(fresh, input, mode);
+    const ImageRun b = run_program(*cached, input, mode);
     ASSERT_EQ(a.logits, b.logits);
     ASSERT_EQ(a.activations.size(), b.activations.size());
     for (std::size_t i = 0; i < a.activations.size(); ++i)

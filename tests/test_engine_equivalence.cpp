@@ -24,6 +24,7 @@
 #include "nn/network.hpp"
 #include "quant/quantize.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -86,7 +87,7 @@ RandomStack make_stack(std::uint64_t seed) {
   return {std::move(net), std::move(model), std::move(input)};
 }
 
-driver::NetworkRun run_stack(const RandomStack& stack, driver::ExecMode mode) {
+ImageRun run_stack(const RandomStack& stack, driver::ExecMode mode) {
   core::ArchConfig cfg = core::ArchConfig::k256_opt();
   cfg.bank_words = 2048;  // small: stripes on bigger stacks
   core::Accelerator acc(cfg);
@@ -94,9 +95,9 @@ driver::NetworkRun run_stack(const RandomStack& stack, driver::ExecMode mode) {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma,
                           {.mode = mode, .keep_activations = true});
-  return runtime.run_network(
-      driver::NetworkProgram::compile(stack.net, stack.model, cfg),
-      stack.input);
+  return run_image(runtime,
+                   driver::NetworkProgram::compile(stack.net, stack.model, cfg),
+                   stack.input);
 }
 
 class EngineEquivalence : public ::testing::TestWithParam<int> {};
@@ -108,9 +109,9 @@ TEST_P(EngineEquivalence, RandomStackAgreesAcrossEnginesAndReference) {
   const std::vector<nn::ActivationI8> ref =
       nn::forward_i8_all(stack.net, stack.model.weights, stack.input);
 
-  const driver::NetworkRun cycle = run_stack(stack, driver::ExecMode::kCycle);
-  const driver::NetworkRun thread = run_stack(stack, driver::ExecMode::kThread);
-  const driver::NetworkRun fast = run_stack(stack, driver::ExecMode::kFast);
+  const ImageRun cycle = run_stack(stack, driver::ExecMode::kCycle);
+  const ImageRun thread = run_stack(stack, driver::ExecMode::kThread);
+  const ImageRun fast = run_stack(stack, driver::ExecMode::kFast);
 
   ASSERT_EQ(cycle.activations.size(), thread.activations.size());
   ASSERT_EQ(cycle.activations.size(), fast.activations.size());
@@ -175,14 +176,14 @@ TEST(EngineEquivalence, EveryBackendMatchesCycleEngineExactly) {
   for (const int param : {1, 5, 9}) {
     const RandomStack stack =
         make_stack(0xE0E0 + static_cast<std::uint64_t>(param) * 7919);
-    const driver::NetworkRun cycle = run_stack(stack, driver::ExecMode::kCycle);
+    const ImageRun cycle = run_stack(stack, driver::ExecMode::kCycle);
 
     ASSERT_TRUE(core::simd::select_backend("scalar"));
-    const driver::NetworkRun scalar = run_stack(stack, driver::ExecMode::kFast);
+    const ImageRun scalar = run_stack(stack, driver::ExecMode::kFast);
 
     for (const core::simd::SimdBackend* be : core::simd::available_backends()) {
       ASSERT_TRUE(core::simd::select_backend(be->name)) << be->name;
-      const driver::NetworkRun fast = run_stack(stack, driver::ExecMode::kFast);
+      const ImageRun fast = run_stack(stack, driver::ExecMode::kFast);
       SCOPED_TRACE(std::string("backend ") + be->name + " seed " +
                    std::to_string(param));
 
@@ -222,7 +223,8 @@ TEST(EngineEquivalence, EveryBackendMatchesCycleEngineExactly) {
 // Batch-major execution packs several images' tiles into one SIMD register
 // group; per-image results must still be bit-identical to serial runs —
 // including a batch larger than Runtime::kFastBatchLanes, so the lane
-// remainder path is exercised — on every backend.
+// remainder path is exercised — on every backend.  The batch loop keeps
+// every image's activations too, in the cycle engine and the fast path.
 TEST(EngineEquivalence, BatchMajorMatchesSerialPerImage) {
   BackendGuard guard;
   const RandomStack stack = make_stack(0xE0E0 + 4 * 7919);
@@ -242,18 +244,15 @@ TEST(EngineEquivalence, BatchMajorMatchesSerialPerImage) {
     inputs.push_back(std::move(fm));
   }
 
-  for (const core::simd::SimdBackend* be : core::simd::available_backends()) {
-    ASSERT_TRUE(core::simd::select_backend(be->name)) << be->name;
-    SCOPED_TRACE(std::string("backend ") + be->name);
-
+  const auto check = [&](driver::ExecMode mode) {
     core::Accelerator acc(cfg);
     sim::Dram dram(64u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma,
-                            {.mode = driver::ExecMode::kFast});
+                            {.mode = mode, .keep_activations = true});
     std::vector<driver::NetworkRun> serial;
     for (const nn::FeatureMapI8& input : inputs)
-      serial.push_back(runtime.run_network(program, input));
+      serial.push_back(run_image(runtime, program, input));
     const driver::BatchNetworkRun batched =
         runtime.run_network_batch(program, inputs);
 
@@ -264,7 +263,20 @@ TEST(EngineEquivalence, BatchMajorMatchesSerialPerImage) {
       EXPECT_EQ(batched.requests[i].logits, serial[i].logits) << "image " << i;
       EXPECT_EQ(batched.requests[i].final_fm, serial[i].final_fm)
           << "image " << i;
+      EXPECT_FALSE(serial[i].activations.empty()) << "image " << i;
+      EXPECT_EQ(batched.requests[i].activations, serial[i].activations)
+          << "image " << i;
     }
+  };
+
+  {
+    SCOPED_TRACE("cycle engine");
+    check(driver::ExecMode::kCycle);
+  }
+  for (const core::simd::SimdBackend* be : core::simd::available_backends()) {
+    ASSERT_TRUE(core::simd::select_backend(be->name)) << be->name;
+    SCOPED_TRACE(std::string("backend ") + be->name);
+    check(driver::ExecMode::kFast);
   }
 }
 
@@ -277,8 +289,8 @@ TEST(PerfModelDrift, FastPredictionsTrackCycleEngine) {
   for (const std::uint64_t seed :
        {0x5EEDull, 0xD41F7ull, 0xE0E0ull + 3 * 7919, 0xE0E0ull + 9 * 7919}) {
     const RandomStack stack = make_stack(seed);
-    const driver::NetworkRun cycle = run_stack(stack, driver::ExecMode::kCycle);
-    const driver::NetworkRun fast = run_stack(stack, driver::ExecMode::kFast);
+    const ImageRun cycle = run_stack(stack, driver::ExecMode::kCycle);
+    const ImageRun fast = run_stack(stack, driver::ExecMode::kFast);
     ASSERT_EQ(cycle.layers.size(), fast.layers.size());
     for (std::size_t i = 0; i < cycle.layers.size(); ++i) {
       if (!cycle.layers[i].on_accelerator) continue;
@@ -305,8 +317,8 @@ TEST(EngineEquivalence, SixteenUnoptVariantAlsoAgrees) {
     sim::Dram dram(32u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = mode});
-    const driver::NetworkRun run = runtime.run_network(
-        driver::NetworkProgram::compile(stack.net, stack.model, cfg),
+    const ImageRun run = run_image(
+        runtime, driver::NetworkProgram::compile(stack.net, stack.model, cfg),
         stack.input);
     EXPECT_EQ(run.final_fm, ref.back().fm)
         << driver::exec_mode_name(mode) << " mode";

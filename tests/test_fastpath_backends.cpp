@@ -24,6 +24,7 @@
 #include "nn/layers.hpp"
 #include "pack/weight_pack.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -329,15 +330,13 @@ TEST_P(FastStripeWorkers, FastConvMatchesSerial) {
   sim::DmaEngine dma(dram);
   driver::Runtime serial(acc, dram, dma, {.mode = driver::ExecMode::kFast});
   driver::LayerRun serial_run;
-  const pack::TiledFm serial_out =
-      serial.run_conv(input, conv, serial_run);
+  const pack::TiledFm serial_out = conv_image(serial, input, conv, serial_run);
   ASSERT_GT(serial_run.stripes, 1);
 
   driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
   driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kFast});
   driver::LayerRun pooled_run;
-  const pack::TiledFm pooled_out =
-      pooled.run_conv(input, conv, pooled_run);
+  const pack::TiledFm pooled_out = conv_image(pooled, input, conv, pooled_run);
 
   EXPECT_EQ(serial_out, pooled_out);
   expect_same_fast_run(serial_run, pooled_run);
@@ -364,14 +363,14 @@ TEST_P(FastStripeWorkers, FastConvBatchMatchesSerial) {
   sim::DmaEngine dma(dram);
   driver::Runtime serial(acc, dram, dma, {.mode = driver::ExecMode::kFast});
   driver::LayerRun serial_run;
-  const std::vector<pack::TiledFm> serial_out =
-      serial.run_conv_batch(images, conv, serial_run);
+  std::vector<pack::TiledFm> serial_out = images;
+  serial.run_conv_batch(serial_out, conv, serial_run);
 
   driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
   driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kFast});
   driver::LayerRun pooled_run;
-  const std::vector<pack::TiledFm> pooled_out =
-      pooled.run_conv_batch(images, conv, pooled_run);
+  std::vector<pack::TiledFm> pooled_out = images;
+  pooled.run_conv_batch(pooled_out, conv, pooled_run);
 
   ASSERT_EQ(serial_out.size(), pooled_out.size());
   for (int i = 0; i < kBatch; ++i)

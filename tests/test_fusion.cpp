@@ -7,6 +7,7 @@
 #include "nn/vgg16.hpp"
 #include "quant/quantize.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -50,9 +51,9 @@ TEST(FusedPadConv, MatchesUnfusedResultBitExactly) {
   ASSERT_TRUE(fused.has_value());
   driver::LayerRun pad_run;
   driver::LayerRun conv_run;
-  pack::TiledFm out;
-  runtime.run_fused_pad_conv(pack::to_tiled(input), fused->conv,
-                             fused->layout, out, pad_run, conv_run);
+  const pack::TiledFm out = fused_image(runtime, pack::to_tiled(input),
+                                        fused->conv, fused->layout, pad_run,
+                                        conv_run);
   EXPECT_EQ(pack::from_tiled(out), expected);
   EXPECT_GT(pad_run.cycles, 0u);
   EXPECT_GT(conv_run.cycles, 0u);
@@ -81,9 +82,8 @@ TEST(FusedPadConv, SavesDmaTrafficVersusSeparateExecution) {
       EXPECT_TRUE(f.has_value());
       driver::LayerRun pad_run;
       driver::LayerRun conv_run;
-      pack::TiledFm out;
-      runtime.run_fused_pad_conv(pack::to_tiled(input), f->conv, f->layout,
-                                 out, pad_run, conv_run);
+      fused_image(runtime, pack::to_tiled(input), f->conv, f->layout, pad_run,
+                  conv_run);
     } else {
       driver::LayerRun r1;
       driver::LayerRun r2;
@@ -92,9 +92,9 @@ TEST(FusedPadConv, SavesDmaTrafficVersusSeparateExecution) {
           driver::compile_pool(cfg, input.shape(), {8, 18, 18},
                                core::Opcode::kPad, 1, 1, -1, -1),
           r1);
-      runtime.run_conv(
-          padded, driver::compile_conv(cfg, padded.shape(), packed, bias, rq),
-          r2);
+      conv_image(runtime, padded,
+                 driver::compile_conv(cfg, padded.shape(), packed, bias, rq),
+                 r2);
     }
     return dma.stats().bytes_to_fpga + dma.stats().bytes_to_dram;
   };
@@ -139,13 +139,13 @@ TEST(FusedPadConv, NetworkRunFusionMatchesUnfusedNetworkRun) {
     driver::Runtime runtime(
         acc, dram, dma,
         {.mode = driver::ExecMode::kCycle, .keep_activations = true});
-    return runtime.run_network(
-        driver::NetworkProgram::compile(net, model, cfg,
-                                        {.fuse_pad_conv = fuse}),
-        input);
+    return run_image(runtime,
+                     driver::NetworkProgram::compile(net, model, cfg,
+                                                     {.fuse_pad_conv = fuse}),
+                     input);
   };
-  const driver::NetworkRun fused = run_with(true);
-  const driver::NetworkRun plain = run_with(false);
+  const ImageRun fused = run_with(true);
+  const ImageRun plain = run_with(false);
   EXPECT_EQ(fused.logits, plain.logits);
   ASSERT_EQ(fused.activations.size(), plain.activations.size());
   for (std::size_t i = 0; i < fused.activations.size(); ++i)

@@ -36,6 +36,7 @@
 #include "sim/dma.hpp"
 #include "sim/dram.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -84,7 +85,7 @@ std::vector<std::int8_t> direct_logits(const nn::FeatureMapI8& input) {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma,
                           {.mode = driver::ExecMode::kFast});
-  return runtime.run_network(m.program(), input).logits;
+  return run_image(runtime, m.program(), input).logits;
 }
 
 // A raw loopback socket for speaking deliberately hostile bytes at the
@@ -508,7 +509,7 @@ std::vector<std::int8_t> registry_logits(driver::ProgramRegistry& registry,
   sim::Dram dram(64u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kFast});
-  return runtime.run_network(h.program(), input).logits;
+  return run_image(runtime, h.program(), input).logits;
 }
 
 // An unknown model id over the wire is a typed rejection — the request

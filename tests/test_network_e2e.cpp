@@ -14,6 +14,7 @@
 #include "quant/prune.hpp"
 #include "quant/quantize.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -66,8 +67,9 @@ TEST(NetworkE2E, ScaledVgg16MatchesInt8ReferenceCycleMode) {
   driver::Runtime runtime(acc, dram, dma,
                           {.mode = driver::ExecMode::kCycle,
                            .keep_activations = true});
-  const driver::NetworkRun run = runtime.run_network(
-      driver::NetworkProgram::compile(s.net, s.model, test_config()), input);
+  const ImageRun run = run_image(
+      runtime, driver::NetworkProgram::compile(s.net, s.model, test_config()),
+      input);
 
   ASSERT_TRUE(run.flat_output);
   ASSERT_FALSE(ref.empty());
@@ -102,12 +104,14 @@ TEST(NetworkE2E, ThreadAndCycleEnginesAgreeBitExactly) {
     sim::Dram dram(64u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = mode});
-    return runtime.run_network(
-        driver::NetworkProgram::compile(s.net, s.model, test_config()), input);
+    return run_image(
+        runtime,
+        driver::NetworkProgram::compile(s.net, s.model, test_config()),
+        input);
   };
-  const driver::NetworkRun cycle = run_mode(driver::ExecMode::kCycle);
-  const driver::NetworkRun thread = run_mode(driver::ExecMode::kThread);
-  const driver::NetworkRun fast = run_mode(driver::ExecMode::kFast);
+  const ImageRun cycle = run_mode(driver::ExecMode::kCycle);
+  const ImageRun thread = run_mode(driver::ExecMode::kThread);
+  const ImageRun fast = run_mode(driver::ExecMode::kFast);
   EXPECT_EQ(cycle.logits, thread.logits);
   EXPECT_EQ(cycle.logits, fast.logits);
 }
@@ -120,8 +124,9 @@ TEST(NetworkE2E, QuantizedPipelineTracksFloatOracle) {
   sim::Dram dram(64u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-  const driver::NetworkRun run = runtime.run_network(
-      driver::NetworkProgram::compile(s.net, s.model, test_config()), input);
+  const ImageRun run = run_image(
+      runtime, driver::NetworkProgram::compile(s.net, s.model, test_config()),
+      input);
 
   // Float oracle logits (last FC output, before softmax).
   const std::vector<nn::ActivationF> facts =

@@ -24,6 +24,7 @@
 #include "quant/quantize.hpp"
 #include "serve/server.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -283,8 +284,9 @@ TEST(ObsEndToEnd, Vgg16PoolRuntimeLayerSpansMatchLayerRuns) {
   driver::AcceleratorPool pool(core::ArchConfig::k256_opt(), {.workers = 4});
   driver::PoolRuntime runtime(
       pool, {.mode = driver::ExecMode::kCycle, .trace = &rec, .metrics = &metrics});
-  const driver::NetworkRun run = runtime.run_network(
-      driver::NetworkProgram::compile(f.net, f.model, pool.config()), f.input);
+  const ImageRun run = run_image(
+      runtime, driver::NetworkProgram::compile(f.net, f.model, pool.config()),
+      f.input);
 
   // Per-layer spans, in record order, must mirror the accelerator layers:
   // same count, same durations (== LayerRun.cycles), laid end to end.
@@ -343,7 +345,7 @@ TEST(ObsEndToEnd, TracingDoesNotChangeResults) {
   driver::AcceleratorPool plain_pool(core::ArchConfig::k256_opt(),
                                      {.workers = 2});
   driver::PoolRuntime plain(plain_pool, {.mode = driver::ExecMode::kCycle});
-  const driver::NetworkRun base = plain.run_network(program, f.input);
+  const ImageRun base = run_image(plain, program, f.input);
 
   obs::Recorder rec;
   driver::AcceleratorPool traced_pool(core::ArchConfig::k256_opt(),
@@ -351,7 +353,7 @@ TEST(ObsEndToEnd, TracingDoesNotChangeResults) {
   driver::PoolRuntime traced(
       traced_pool,
       {.mode = driver::ExecMode::kCycle, .trace = &rec, .trace_kernels = true});
-  const driver::NetworkRun with = traced.run_network(program, f.input);
+  const ImageRun with = run_image(traced, program, f.input);
 
   EXPECT_EQ(base.logits, with.logits);
   ASSERT_EQ(base.layers.size(), with.layers.size());
@@ -427,12 +429,12 @@ TEST(ObsEndToEnd, KernelSpansAccountBusyAndStall) {
                      {.mode = driver::ExecMode::kCycle, .trace = &rec,
                       .trace_kernels = true});
   driver::LayerRun run;
-  rt.run_conv(pack::to_tiled(fm),
-              driver::compile_conv(acc.config(), fm.shape(),
-                                   pack::pack_filters(filters),
-                                   std::vector<std::int32_t>(8, 1),
-                                   nn::Requant{.shift = 6}),
-              run);
+  conv_image(rt, pack::to_tiled(fm),
+             driver::compile_conv(acc.config(), fm.shape(),
+                                  pack::pack_filters(filters),
+                                  std::vector<std::int32_t>(8, 1),
+                                  nn::Requant{.shift = 6}),
+             run);
 
   int kernel_spans = 0;
   for (const obs::TraceEvent& ev : rec.events()) {

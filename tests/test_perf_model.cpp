@@ -6,6 +6,7 @@
 #include "driver/perf_model.hpp"
 #include "driver/runtime.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -58,10 +59,10 @@ TEST_P(PerfModelGrid, TracksCycleEngineWithinTolerance) {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun run;
-  runtime.run_conv(pack::to_tiled(input),
-                   driver::compile_conv(cfg, p.in, packed, bias,
-                                        nn::Requant{.shift = 6, .relu = true}),
-                   run);
+  conv_image(runtime, pack::to_tiled(input),
+             driver::compile_conv(cfg, p.in, packed, bias,
+                                  nn::Requant{.shift = 6, .relu = true}),
+             run);
 
   const driver::PerfModel model(cfg);
   const driver::ConvPerf perf = model.conv_layer(p.in, packed);

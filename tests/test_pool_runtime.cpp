@@ -6,17 +6,21 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/accelerator.hpp"
 #include "driver/accelerator_pool.hpp"
 #include "driver/pool_runtime.hpp"
+#include "driver/program.hpp"
 #include "driver/runtime.hpp"
 #include "nn/vgg16.hpp"
 #include "pack/weight_pack.hpp"
 #include "quant/prune.hpp"
 #include "quant/quantize.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -75,12 +79,14 @@ TEST_P(PoolWorkers, ConvMatchesSerial) {
     sim::DmaEngine dma(dram);
     driver::Runtime serial(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
     driver::LayerRun serial_run;
-    const pack::TiledFm serial_out = serial.run_conv(input, conv, serial_run);
+    const pack::TiledFm serial_out =
+        conv_image(serial, input, conv, serial_run);
 
     driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
     driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kCycle});
     driver::LayerRun pooled_run;
-    const pack::TiledFm pooled_out = pooled.run_conv(input, conv, pooled_run);
+    const pack::TiledFm pooled_out =
+        conv_image(pooled, input, conv, pooled_run);
 
     EXPECT_GT(serial_run.stripes, 1);
     EXPECT_EQ(serial_out, pooled_out) << "instances=" << instances;
@@ -133,14 +139,14 @@ TEST_P(PoolWorkers, ConvBatchMatchesSerial) {
   sim::DmaEngine dma(dram);
   driver::Runtime serial(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun serial_run;
-  const std::vector<pack::TiledFm> serial_out =
-      serial.run_conv_batch(images, conv, serial_run);
+  std::vector<pack::TiledFm> serial_out = images;
+  serial.run_conv_batch(serial_out, conv, serial_run);
 
   driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
   driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun pooled_run;
-  const std::vector<pack::TiledFm> pooled_out =
-      pooled.run_conv_batch(images, conv, pooled_run);
+  std::vector<pack::TiledFm> pooled_out = images;
+  pooled.run_conv_batch(pooled_out, conv, pooled_run);
 
   ASSERT_EQ(serial_out.size(), pooled_out.size());
   for (int i = 0; i < kBatch; ++i)
@@ -198,6 +204,63 @@ TEST_P(PoolWorkers, ServeMatchesSerialPerRequest) {
   for (std::size_t l = 0; l < expected.layers.size(); ++l) {
     SCOPED_TRACE("layer " + expected.layers[l].name);
     expect_same_run(expected.layers[l], served.layers[l]);
+  }
+}
+
+// The network loop on a striped, multi-chunk program: a batch of one (one
+// (image, stripe) unit per stripe, each stripe staged once) and a batch of
+// several (weights accounted once per chunk) both match the serial runtime
+// in every output and every layer's cycles, counters and DMA.
+TEST_P(PoolWorkers, NetworkBatchesOfOneAndManyMatchSerial) {
+  Rng rng(105);
+  nn::Network net = nn::build_vgg16(
+      {.input_extent = 32, .channel_divisor = 8, .num_classes = 10});
+  nn::WeightsF weights = nn::init_random_weights(net, rng);
+  quant::prune_weights(net, weights, quant::vgg16_han_profile());
+  nn::FeatureMapF calib(net.input_shape());
+  for (std::size_t i = 0; i < calib.size(); ++i)
+    calib.data()[i] = static_cast<float>(rng.next_gaussian() * 0.4);
+  const quant::QuantizedModel model =
+      quant::quantize_network(net, weights, {calib});
+
+  core::ArchConfig cfg = core::ArchConfig::k256_opt();
+  cfg.bank_words = 256;  // striped convs with several weight chunks
+  const driver::NetworkProgram program =
+      driver::NetworkProgram::compile(net, model, cfg);
+  const driver::RuntimeOptions options{.mode = driver::ExecMode::kCycle};
+
+  for (const int images : {1, 3}) {
+    SCOPED_TRACE("batch of " + std::to_string(images));
+    std::vector<nn::FeatureMapI8> inputs;
+    for (int i = 0; i < images; ++i)
+      inputs.push_back(random_fm(net.input_shape(), rng));
+
+    core::Accelerator acc(cfg);
+    sim::Dram dram(64u << 20);
+    sim::DmaEngine dma(dram);
+    driver::Runtime serial(acc, dram, dma, options);
+    const driver::BatchNetworkRun expected =
+        serial.run_network_batch(program, inputs);
+
+    driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
+    driver::PoolRuntime pooled(pool, options);
+    const driver::BatchNetworkRun got =
+        pooled.run_network_batch(program, inputs);
+
+    ASSERT_EQ(got.requests.size(), expected.requests.size());
+    for (std::size_t r = 0; r < expected.requests.size(); ++r)
+      EXPECT_EQ(got.requests[r].logits, expected.requests[r].logits)
+          << "image " << r;
+    ASSERT_EQ(expected.layers.size(), got.layers.size());
+    int striped = 0;
+    for (std::size_t l = 0; l < expected.layers.size(); ++l) {
+      SCOPED_TRACE("layer " + expected.layers[l].name);
+      expect_same_run(expected.layers[l], got.layers[l]);
+      if (expected.layers[l].kind == nn::LayerKind::kConv &&
+          expected.layers[l].stripes > 1)
+        ++striped;
+    }
+    EXPECT_GT(striped, 0);
   }
 }
 

@@ -21,6 +21,7 @@
 #include "quant/quantize.hpp"
 #include "serve/server.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -50,8 +51,7 @@ void expect_same_run(const driver::LayerRun& a, const driver::LayerRun& b) {
   EXPECT_EQ(a.dma, b.dma);
 }
 
-void expect_same_network_run(const driver::NetworkRun& a,
-                             const driver::NetworkRun& b) {
+void expect_same_network_run(const ImageRun& a, const ImageRun& b) {
   EXPECT_EQ(a.flat_output, b.flat_output);
   EXPECT_EQ(a.logits, b.logits);
   ASSERT_EQ(a.layers.size(), b.layers.size());
@@ -137,14 +137,15 @@ TEST(Program, CompileOnceExecuteManyMatchesFreshCompile) {
   for (int i = 0; i < kRequests; ++i)
     inputs.push_back(random_fm(fx.net.input_shape(), fx.rng));
 
-  std::vector<driver::NetworkRun> baseline;
+  std::vector<ImageRun> baseline;
   for (const nn::FeatureMapI8& input : inputs) {
     core::Accelerator acc(cfg);
     sim::Dram dram(64u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, options);
-    baseline.push_back(runtime.run_network(
-        driver::NetworkProgram::compile(fx.net, fx.model, cfg), input));
+    baseline.push_back(run_image(
+        runtime, driver::NetworkProgram::compile(fx.net, fx.model, cfg),
+        input));
   }
 
   const driver::NetworkProgram program =
@@ -155,7 +156,7 @@ TEST(Program, CompileOnceExecuteManyMatchesFreshCompile) {
   driver::Runtime runtime(acc, dram, dma, options);
   for (int i = 0; i < kRequests; ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
-    const driver::NetworkRun run = runtime.run_network(program, inputs[i]);
+    const ImageRun run = run_image(runtime, program, inputs[i]);
     expect_same_network_run(baseline[static_cast<std::size_t>(i)], run);
   }
 }
@@ -173,29 +174,29 @@ TEST(Program, RestagesWhenProgramsAlternate) {
   const driver::NetworkProgram unfused = driver::NetworkProgram::compile(
       fx.net, fx.model, cfg, {.fuse_pad_conv = false});
 
-  driver::NetworkRun base_fused, base_unfused;
+  ImageRun base_fused, base_unfused;
   {
     core::Accelerator acc(cfg);
     sim::Dram dram(64u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, options);
-    base_fused = runtime.run_network(fused, input);
+    base_fused = run_image(runtime, fused, input);
   }
   {
     core::Accelerator acc(cfg);
     sim::Dram dram(64u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, options);
-    base_unfused = runtime.run_network(unfused, input);
+    base_unfused = run_image(runtime, unfused, input);
   }
 
   core::Accelerator acc(cfg);
   sim::Dram dram(64u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, options);
-  expect_same_network_run(base_fused, runtime.run_network(fused, input));
-  expect_same_network_run(base_unfused, runtime.run_network(unfused, input));
-  expect_same_network_run(base_fused, runtime.run_network(fused, input));
+  expect_same_network_run(base_fused, run_image(runtime, fused, input));
+  expect_same_network_run(base_unfused, run_image(runtime, unfused, input));
+  expect_same_network_run(base_fused, run_image(runtime, fused, input));
 }
 
 // The compiler fuses a pad into the following conv exactly when the fit
@@ -262,9 +263,10 @@ TEST(Program, FastPathRefusesUnfinishedArtifacts) {
   driver::ConvProgram bare_conv =
       driver::compile_conv(cfg, input.shape(), packed, bias, rq);
   bare_conv.fastw = core::FastConvWeights{};
-  EXPECT_THROW(runtime.run_conv(input, bare_conv, run), Error);
-  EXPECT_THROW(pooled.run_conv(input, bare_conv, run), Error);
-  EXPECT_THROW(runtime.run_conv_batch({input, input}, bare_conv, run), Error);
+  EXPECT_THROW(conv_image(runtime, input, bare_conv, run), Error);
+  EXPECT_THROW(conv_image(pooled, input, bare_conv, run), Error);
+  std::vector<pack::TiledFm> pair{input, input};
+  EXPECT_THROW(runtime.run_conv_batch(pair, bare_conv, run), Error);
 
   const core::ArchConfig big = core::ArchConfig::k256_opt();
   std::optional<driver::FusedPadConv> fused = driver::compile_fused_pad_conv(
@@ -275,10 +277,8 @@ TEST(Program, FastPathRefusesUnfinishedArtifacts) {
   driver::Runtime big_runtime(big_acc, dram, dma,
                               {.mode = driver::ExecMode::kFast});
   driver::LayerRun pad_run;
-  pack::TiledFm out;
-  EXPECT_THROW(big_runtime.run_fused_pad_conv(input, fused->conv,
-                                              fused->layout, out, pad_run,
-                                              run),
+  EXPECT_THROW(fused_image(big_runtime, input, fused->conv, fused->layout,
+                           pad_run, run),
                Error);
 
   EXPECT_NO_THROW(runtime.run_pad_pool(
@@ -286,8 +286,9 @@ TEST(Program, FastPathRefusesUnfinishedArtifacts) {
       driver::compile_pool(cfg, input.shape(), pooled_shape,
                            core::Opcode::kPool, 2, 2, 0, 0),
       run));
-  EXPECT_NO_THROW(runtime.run_conv(
-      input, driver::compile_conv(cfg, input.shape(), packed, bias, rq), run));
+  EXPECT_NO_THROW(conv_image(
+      runtime, input,
+      driver::compile_conv(cfg, input.shape(), packed, bias, rq), run));
 }
 
 // Workers share one const NetworkProgram: Server workers serving it, and
@@ -366,13 +367,13 @@ TEST_P(ProgramPoolWorkers, PooledStripedLayersShareProgram) {
     sim::Dram dram(32u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-    serial_out = runtime.run_conv(input, conv, serial_run);
+    serial_out = conv_image(runtime, input, conv, serial_run);
   }
 
   driver::AcceleratorPool pool(cfg, {.workers = GetParam()});
   driver::PoolRuntime pooled(pool, {.mode = driver::ExecMode::kCycle});
   driver::LayerRun pooled_run;
-  const pack::TiledFm pooled_out = pooled.run_conv(input, conv, pooled_run);
+  const pack::TiledFm pooled_out = conv_image(pooled, input, conv, pooled_run);
 
   EXPECT_GT(serial_run.stripes, 1);
   EXPECT_EQ(serial_out, pooled_out);

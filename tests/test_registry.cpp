@@ -17,6 +17,7 @@
 #include "nn/zoo.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -75,7 +76,7 @@ TEST(RegistryBasics, AcquiredProgramRunsCorrectly) {
   sim::Dram dram(32u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kFast});
-  const driver::NetworkRun run = runtime.run_network(h.program(), input);
+  const ImageRun run = run_image(runtime, h.program(), input);
   EXPECT_EQ(run.logits, ref.back().flat);
 }
 
@@ -296,7 +297,7 @@ TEST(RegistryLowering, ToyKindCompilesThroughScopedRegistration) {
     sim::Dram dram(16u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = mode});
-    const driver::NetworkRun run = runtime.run_network(program, input);
+    const ImageRun run = run_image(runtime, program, input);
     EXPECT_EQ(run.final_fm, input) << driver::exec_mode_name(mode);
   }
 }
@@ -325,7 +326,7 @@ TEST(RegistryZooIntegration, AllZooModelsServeFromOneRegistry) {
     sim::Dram dram(32u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kFast});
-    const driver::NetworkRun run = runtime.run_network(h.program(), input);
+    const ImageRun run = run_image(runtime, h.program(), input);
     EXPECT_EQ(run.logits, ref.back().flat);
   }
 }

@@ -30,6 +30,7 @@
 #include "sim/dma.hpp"
 #include "sim/dram.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -79,7 +80,7 @@ std::vector<std::int8_t> direct_logits(const nn::FeatureMapI8& input) {
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma,
                           {.mode = driver::ExecMode::kFast});
-  return runtime.run_network(m.program(), input).logits;
+  return run_image(runtime, m.program(), input).logits;
 }
 
 // --- run_network_batch (driver layer) ---------------------------------
@@ -109,14 +110,14 @@ TEST(ServeBatchRun, BitExactAndWeightAmortized) {
                            {.mode = driver::ExecMode::kCycle});
   };
 
-  std::vector<driver::NetworkRun> serial;
+  std::vector<ImageRun> serial;
   std::uint64_t serial_to_fpga = 0;
   for (const nn::FeatureMapI8& input : inputs) {
     core::Accelerator acc(striped.config());
     sim::Dram dram(64u << 20);
     sim::DmaEngine dma(dram);
     driver::Runtime runtime = make_runtime(acc, dram, dma);
-    serial.push_back(runtime.run_network(striped, input));
+    serial.push_back(run_image(runtime, striped, input));
     for (const driver::LayerRun& lr : serial.back().layers)
       serial_to_fpga += lr.dma.bytes_to_fpga;
   }
@@ -159,7 +160,7 @@ TEST(ServeBatchRun, CancelFlagAbortsExecution) {
   driver::Runtime runtime(
       acc, dram, dma,
       {.mode = driver::ExecMode::kFast, .cancel = &cancel});
-  EXPECT_THROW(runtime.run_network(m.program(), input),
+  EXPECT_THROW(run_image(runtime, m.program(), input),
                driver::RequestCancelled);
 }
 
@@ -843,7 +844,7 @@ std::vector<std::int8_t> registry_logits(driver::ProgramRegistry& registry,
   sim::Dram dram(64u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kFast});
-  return runtime.run_network(h.program(), input).logits;
+  return run_image(runtime, h.program(), input).logits;
 }
 
 // Two zoo models with different input shapes behind one server: the model

@@ -16,6 +16,7 @@
 #include "quant/sm8.hpp"
 #include "sim/sram.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -123,8 +124,8 @@ TEST(Sm8Transport, BankContentsCanonicalAfterConvAndPool) {
     const std::vector<std::int32_t> bias(static_cast<std::size_t>(oc), -3);
 
     driver::LayerRun run;
-    const pack::TiledFm conv_out = rt.run_conv(
-        input,
+    const pack::TiledFm conv_out = conv_image(
+        rt, input,
         driver::compile_conv(cfg, input.shape(), packed, bias,
                              nn::Requant{.shift = 5, .relu = false}),
         run);

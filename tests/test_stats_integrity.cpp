@@ -22,6 +22,7 @@
 #include "sim/sram.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -76,12 +77,12 @@ TEST(LayerRunReuse, ConvSecondCallMatchesFirst) {
       driver::compile_conv(acc.config(), input.shape(), packed, bias, rq);
 
   driver::LayerRun run;
-  rt.run_conv(input, conv, run);
+  conv_image(rt, input, conv, run);
   const driver::LayerRun first = run;
   EXPECT_GT(first.batches, 0);
   EXPECT_GT(first.dma.transfers, 0u);
 
-  rt.run_conv(input, conv, run);
+  conv_image(rt, input, conv, run);
   expect_equal_runs(first, run);
 }
 
@@ -122,9 +123,11 @@ TEST(LayerRunReuse, ConvBatchSecondCallMatchesFirst) {
       acc.config(), images.front().shape(), packed, bias, rq);
 
   driver::LayerRun run;
-  rt.run_conv_batch(images, conv, run);
+  std::vector<pack::TiledFm> fms = images;
+  rt.run_conv_batch(fms, conv, run);
   const driver::LayerRun first = run;
-  rt.run_conv_batch(images, conv, run);
+  fms = images;
+  rt.run_conv_batch(fms, conv, run);
   expect_equal_runs(first, run);
 }
 
@@ -144,11 +147,11 @@ TEST(LayerRunReuse, PoolRuntimeResetsDirtyRun) {
       driver::compile_conv(pool.config(), input.shape(), packed, bias, rq);
 
   driver::LayerRun run;
-  rt.run_conv(input, conv, run);
+  conv_image(rt, input, conv, run);
   const driver::LayerRun first = run;
   run.batches = 999;  // pre-dirtied caller state must not survive
   run.macs = -5;
-  rt.run_conv(input, conv, run);
+  conv_image(rt, input, conv, run);
   expect_equal_runs(first, run);
 }
 

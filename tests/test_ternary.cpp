@@ -9,6 +9,7 @@
 #include "pack/lane_stream.hpp"
 #include "quant/ternary.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -99,8 +100,8 @@ TEST(TernaryAccelerator, ConvMatchesReferenceBothEngines) {
     sim::DmaEngine dma(dram);
     driver::Runtime runtime(acc, dram, dma, {.mode = mode});
     driver::LayerRun run;
-    const pack::TiledFm out = runtime.run_conv(
-        pack::to_tiled(input),
+    const pack::TiledFm out = conv_image(
+        runtime, pack::to_tiled(input),
         driver::compile_conv(cfg, input.shape(),
                              pack::pack_filters(tl.weights), bias, rq),
         run);
@@ -139,8 +140,8 @@ TEST(TernaryNetwork, EndToEndThroughAcceleratorMatchesInt8Reference) {
   sim::Dram dram(64u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
-  const driver::NetworkRun run = runtime.run_network(
-      driver::NetworkProgram::compile(net, model, cfg), input);
+  const ImageRun run = run_image(
+      runtime, driver::NetworkProgram::compile(net, model, cfg), input);
   ASSERT_TRUE(run.flat_output);
   EXPECT_EQ(run.logits, ref.back().flat);
 }

@@ -20,6 +20,7 @@
 #include "nn/network.hpp"
 #include "nn/zoo.hpp"
 #include "util/rng.hpp"
+#include "image_run.hpp"
 
 namespace tsca {
 namespace {
@@ -50,16 +51,16 @@ core::ArchConfig zoo_config() {
   return cfg;
 }
 
-driver::NetworkRun run_zoo(const zoo::ZooModel& m,
-                           const nn::FeatureMapI8& input,
-                           driver::ExecMode mode) {
+ImageRun run_zoo(const zoo::ZooModel& m, const nn::FeatureMapI8& input,
+                 driver::ExecMode mode) {
   core::Accelerator acc(zoo_config());
   sim::Dram dram(32u << 20);
   sim::DmaEngine dma(dram);
   driver::Runtime runtime(acc, dram, dma,
                           {.mode = mode, .keep_activations = true});
-  return runtime.run_network(
-      driver::NetworkProgram::compile(m.net, m.model, zoo_config()), input);
+  return run_image(
+      runtime, driver::NetworkProgram::compile(m.net, m.model, zoo_config()),
+      input);
 }
 
 class ZooEquivalence : public ::testing::TestWithParam<int> {};
@@ -73,9 +74,9 @@ TEST_P(ZooEquivalence, EnginesAgreeWithReferenceLayerByLayer) {
   const std::vector<nn::ActivationI8> ref =
       nn::forward_i8_all(m.net, m.model.weights, input);
 
-  const driver::NetworkRun cycle = run_zoo(m, input, driver::ExecMode::kCycle);
-  const driver::NetworkRun thread = run_zoo(m, input, driver::ExecMode::kThread);
-  const driver::NetworkRun fast = run_zoo(m, input, driver::ExecMode::kFast);
+  const ImageRun cycle = run_zoo(m, input, driver::ExecMode::kCycle);
+  const ImageRun thread = run_zoo(m, input, driver::ExecMode::kThread);
+  const ImageRun fast = run_zoo(m, input, driver::ExecMode::kFast);
 
   ASSERT_EQ(cycle.activations.size(), thread.activations.size());
   ASSERT_EQ(cycle.activations.size(), fast.activations.size());
@@ -125,12 +126,11 @@ TEST(ZooEquivalence, EveryBackendMatchesCycleEngine) {
     const zoo::ZooModel m = zc.make(zc.seed);
     const nn::FeatureMapI8 input =
         make_input(m.net.input_shape(), 0x501 + zc.seed);
-    const driver::NetworkRun cycle =
-        run_zoo(m, input, driver::ExecMode::kCycle);
+    const ImageRun cycle = run_zoo(m, input, driver::ExecMode::kCycle);
     for (const core::simd::SimdBackend* be : core::simd::available_backends()) {
       ASSERT_TRUE(core::simd::select_backend(be->name)) << be->name;
       SCOPED_TRACE(std::string("backend ") + be->name);
-      const driver::NetworkRun fast = run_zoo(m, input, driver::ExecMode::kFast);
+      const ImageRun fast = run_zoo(m, input, driver::ExecMode::kFast);
       ASSERT_EQ(cycle.activations.size(), fast.activations.size());
       for (std::size_t i = 0; i < cycle.activations.size(); ++i)
         EXPECT_EQ(cycle.activations[i], fast.activations[i])
@@ -141,7 +141,9 @@ TEST(ZooEquivalence, EveryBackendMatchesCycleEngine) {
 }
 
 // Batch-major execution threads the per-image tensor slots through the
-// residual steps; per-image results must stay identical to serial runs.
+// residual steps; per-image results, activations included, must stay
+// identical to batch-of-one runs — in the cycle engine and in the fast path
+// on every backend, over more images than one fast-path lane group holds.
 TEST(ZooEquivalence, BatchMatchesSerialPerImage) {
   BackendGuard guard;
   for (const ZooCase& zc : kZooCases) {
@@ -151,21 +153,19 @@ TEST(ZooEquivalence, BatchMatchesSerialPerImage) {
         driver::NetworkProgram::compile(m.net, m.model, zoo_config());
 
     std::vector<nn::FeatureMapI8> inputs;
-    for (int i = 0; i < 5; ++i)
+    for (int i = 0; i < driver::Runtime::kFastBatchLanes + 3; ++i)
       inputs.push_back(
           make_input(m.net.input_shape(), 0x777 + zc.seed * 31 + i));
 
-    for (const core::simd::SimdBackend* be : core::simd::available_backends()) {
-      ASSERT_TRUE(core::simd::select_backend(be->name)) << be->name;
-      SCOPED_TRACE(std::string("backend ") + be->name);
+    const auto check = [&](driver::ExecMode mode) {
       core::Accelerator acc(zoo_config());
       sim::Dram dram(32u << 20);
       sim::DmaEngine dma(dram);
       driver::Runtime runtime(acc, dram, dma,
-                              {.mode = driver::ExecMode::kFast});
+                              {.mode = mode, .keep_activations = true});
       std::vector<driver::NetworkRun> serial;
       for (const nn::FeatureMapI8& input : inputs)
-        serial.push_back(runtime.run_network(program, input));
+        serial.push_back(run_image(runtime, program, input));
       const driver::BatchNetworkRun batched =
           runtime.run_network_batch(program, inputs);
       ASSERT_EQ(batched.requests.size(), serial.size());
@@ -176,7 +176,20 @@ TEST(ZooEquivalence, BatchMatchesSerialPerImage) {
             << "image " << i;
         EXPECT_EQ(batched.requests[i].final_fm, serial[i].final_fm)
             << "image " << i;
+        EXPECT_FALSE(serial[i].activations.empty()) << "image " << i;
+        EXPECT_EQ(batched.requests[i].activations, serial[i].activations)
+            << "image " << i;
       }
+    };
+
+    {
+      SCOPED_TRACE("cycle engine");
+      check(driver::ExecMode::kCycle);
+    }
+    for (const core::simd::SimdBackend* be : core::simd::available_backends()) {
+      ASSERT_TRUE(core::simd::select_backend(be->name)) << be->name;
+      SCOPED_TRACE(std::string("backend ") + be->name);
+      check(driver::ExecMode::kFast);
     }
   }
 }
