@@ -92,8 +92,7 @@ void BM_CycleEngineConvLayer(benchmark::State& state) {
 void BM_SteerMultiply(benchmark::State& state) {
   Rng rng(2);
   core::Window window;
-  for (auto& tile : window.tiles)
-    for (auto& v : tile.v) v = static_cast<std::int8_t>(rng.next_int(-50, 50));
+  for (auto& v : window.v) v = static_cast<std::int8_t>(rng.next_int(-50, 50));
   int offset = 0;
   for (auto _ : state) {
     auto products = core::steer_multiply(window, 13, offset);

@@ -69,15 +69,18 @@ run_benchmark_smoke() {
 # ProgramRegistry (concurrent acquire/evict/recompile), the zoo nets
 # (slot-threaded batch execution), and the autotuner (parallel candidate
 # evaluation across pool workers writing generation-order slots, plus the
-# fleet planner/router it feeds).
+# fleet planner/router it feeds), and the threaded engine itself (the HLS
+# primitives' thread FIFOs and barriers, and the kThread passes of the conv
+# matrix and the engine-equivalence suites: 20+ kernel threads moving
+# messages through ThreadFifo and publishing their counters).
 # (Full-suite TSan is tier 2 — too slow.)
 run_tsan() {
   build_dir=build-tsan
-  echo "=== ${build_dir} (-DTSCA_SANITIZE=thread, Pool|Program|Serve|FastStripe|Net|Registry|Zoo|Tune|Fleet tests) ==="
+  echo "=== ${build_dir} (-DTSCA_SANITIZE=thread, Pool|Program|Serve|FastStripe|Net|Registry|Zoo|Tune|Fleet|Hls|ConvMatrix|EngineEquivalence tests) ==="
   cmake -B "${root}/${build_dir}" -S "${root}" -DTSCA_SANITIZE=thread
   cmake --build "${root}/${build_dir}" -j "${jobs}"
   ctest --test-dir "${root}/${build_dir}" --output-on-failure -j "${jobs}" \
-    -R 'Pool|Program|Serve|FastStripe|NetProtocol|NetServe|Registry|Zoo|Tune|Fleet'
+    -R 'Pool|Program|Serve|FastStripe|NetProtocol|NetServe|Registry|Zoo|Tune|Fleet|Hls|ConvMatrix|EngineEquivalence'
 }
 
 # Forced-backend matrix: the equivalence suites re-run with

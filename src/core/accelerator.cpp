@@ -87,6 +87,7 @@ BatchStats Accelerator::run_batch(const std::vector<Instruction>& instructions,
       ctx.shared = shared;
       ctx.lane = l;
       ctx.bank = banks_[static_cast<std::size_t>(l)].get();
+      ctx.streams = &streams_;
       ctx.cmd_in = fetch_cmd[static_cast<std::size_t>(l)];
       ctx.bundle_out = bundles[static_cast<std::size_t>(l)];
       ctx.pool_out = pool_cmds[static_cast<std::size_t>(l)];

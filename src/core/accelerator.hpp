@@ -16,6 +16,7 @@
 #include "core/counters.hpp"
 #include "core/isa.hpp"
 #include "hls/system.hpp"
+#include "pack/lane_stream.hpp"
 #include "sim/sram.hpp"
 
 namespace tsca::core {
@@ -60,6 +61,9 @@ class Accelerator {
   ArchConfig cfg_;
   std::vector<std::unique_ptr<sim::SramBank>> banks_;
   Counters counters_;
+  // Parsed weight streams, recycled by the fetch units across instructions
+  // and batches (declared here so it outlives every batch's bundles).
+  pack::LaneStreamPool streams_;
 };
 
 }  // namespace tsca::core

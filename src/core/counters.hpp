@@ -1,9 +1,11 @@
 // Hardware event counters.
 //
-// Incremented by the kernels in both execution modes (atomically — the
-// threaded engine updates them from 20+ threads).  They feed the GOPS
-// accounting, the efficiency study (Fig. 7) and the activity-based power
-// model (Table I).
+// Counted by the kernels in both execution modes.  Each kernel counts into
+// its own KernelCounters and publishes the totals to the shared atomic
+// Counters once, when it finishes — the threaded engine runs 20+ kernel
+// threads, and one atomic add per event would make them contend.  They feed
+// the GOPS accounting, the efficiency study (Fig. 7) and the activity-based
+// power model (Table I).
 #pragma once
 
 #include <atomic>
@@ -108,6 +110,42 @@ inline CounterSnapshot operator-(const CounterSnapshot& after,
   d.positions = after.positions - before.positions;
   return d;
 }
+
+// Publishes counts gathered elsewhere (one atomic add per counter).
+inline Counters& operator+=(Counters& c, const CounterSnapshot& d) {
+  constexpr auto relaxed = std::memory_order_relaxed;
+  c.weight_cmds.fetch_add(d.weight_cmds, relaxed);
+  c.weight_bubbles.fetch_add(d.weight_bubbles, relaxed);
+  c.macs_performed.fetch_add(d.macs_performed, relaxed);
+  c.ifm_tile_reads.fetch_add(d.ifm_tile_reads, relaxed);
+  c.weight_word_reads.fetch_add(d.weight_word_reads, relaxed);
+  c.weight_spill_reads.fetch_add(d.weight_spill_reads, relaxed);
+  c.ofm_tile_writes.fetch_add(d.ofm_tile_writes, relaxed);
+  c.pool_ops.fetch_add(d.pool_ops, relaxed);
+  c.conv_instrs.fetch_add(d.conv_instrs, relaxed);
+  c.pad_instrs.fetch_add(d.pad_instrs, relaxed);
+  c.pool_instrs.fetch_add(d.pool_instrs, relaxed);
+  c.positions.fetch_add(d.positions, relaxed);
+  return c;
+}
+
+// One kernel's counts: plain integers while it runs, added to the shared
+// Counters when the object goes out of scope.  A kernel declares it as a
+// local of its coroutine body, so the totals are published when the body
+// ends (normally, by exception, or when a suspended frame is destroyed) —
+// before the kernel's final suspension, hence before System::run returns.
+class KernelCounters {
+ public:
+  explicit KernelCounters(Counters& shared) : shared_(shared) {}
+  ~KernelCounters() { shared_ += counts; }
+  KernelCounters(const KernelCounters&) = delete;
+  KernelCounters& operator=(const KernelCounters&) = delete;
+
+  CounterSnapshot counts;
+
+ private:
+  Counters& shared_;
+};
 
 inline CounterSnapshot snapshot(const Counters& c) {
   CounterSnapshot s;

@@ -4,30 +4,6 @@
 
 namespace tsca::core {
 
-std::array<std::int32_t, pack::kTileSize> steer_multiply(const Window& window,
-                                                         std::int8_t weight,
-                                                         int offset) {
-  TSCA_CHECK(offset >= 0 && offset < pack::kTileSize, "offset=" << offset);
-  std::array<std::int32_t, pack::kTileSize> products{};
-  if (weight == 0) return products;  // bubble: gated multipliers
-  const int oy = offset / pack::kTileDim;
-  const int ox = offset % pack::kTileDim;
-  for (int i = 0; i < pack::kTileSize; ++i) {
-    const int dy = i / pack::kTileDim;
-    const int dx = i % pack::kTileDim;
-    products[static_cast<std::size_t>(i)] =
-        static_cast<std::int32_t>(window.at(oy + dy, ox + dx)) *
-        static_cast<std::int32_t>(weight);
-  }
-  return products;
-}
-
-void accumulate(pack::TileAcc& acc,
-                const std::array<std::int32_t, pack::kTileSize>& products) {
-  for (int i = 0; i < pack::kTileSize; ++i)
-    acc.v[static_cast<std::size_t>(i)] += products[static_cast<std::size_t>(i)];
-}
-
 pack::Tile requantize_tile(const pack::TileAcc& acc, const nn::Requant& rq) {
   pack::Tile out;
   for (int i = 0; i < pack::kTileSize; ++i)

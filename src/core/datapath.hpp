@@ -17,30 +17,62 @@
 
 namespace tsca::core {
 
-// Four contiguous IFM tiles (Fig. 4(a)): a tile-aligned 8×8 window from which
-// a weight with intra-tile offset (oy, ox) selects the 4×4 region at (oy, ox).
+// Four contiguous IFM tiles (Fig. 4(a)) held as one tile-aligned 8×8
+// register, row-major, so the 4×4 region a weight with intra-tile offset
+// (oy, ox) selects is 4 contiguous rows of 4 values starting at (oy, ox).
 struct Window {
-  // [0] top-left, [1] top-right, [2] bottom-left, [3] bottom-right.
-  std::array<pack::Tile, 4> tiles{};
+  static constexpr int kDim = 2 * pack::kTileDim;
+  std::array<std::int8_t, kDim * kDim> v{};
+
+  // Loads one of the four tiles: [0] top-left, [1] top-right,
+  // [2] bottom-left, [3] bottom-right.
+  void set_tile(int quadrant, const pack::Tile& tile) {
+    TSCA_CHECK(quadrant >= 0 && quadrant < 4, "quadrant=" << quadrant);
+    const int y0 = (quadrant / 2) * pack::kTileDim;
+    const int x0 = (quadrant % 2) * pack::kTileDim;
+    for (int y = 0; y < pack::kTileDim; ++y)
+      for (int x = 0; x < pack::kTileDim; ++x)
+        v[static_cast<std::size_t>((y0 + y) * kDim + x0 + x)] =
+            tile.v[static_cast<std::size_t>(y * pack::kTileDim + x)];
+  }
 
   std::int8_t at(int y, int x) const {
-    TSCA_CHECK(y >= 0 && y < 8 && x >= 0 && x < 8);
-    const int quadrant = (y / pack::kTileDim) * 2 + (x / pack::kTileDim);
-    return tiles[static_cast<std::size_t>(quadrant)].at(y % pack::kTileDim,
-                                                        x % pack::kTileDim);
+    TSCA_CHECK(y >= 0 && y < kDim && x >= 0 && x < kDim);
+    return v[static_cast<std::size_t>(y * kDim + x)];
   }
   bool operator==(const Window&) const = default;
 };
 
+// The 16 products of one weight.  Any int8 × int8 product, even
+// −128 × −128, fits int16 exactly, as it does out of an 8-bit multiplier.
+using Products = std::array<std::int16_t, pack::kTileSize>;
+
 // 16 products of one weight applied to the window region selected by its
 // intra-tile offset (the multiplexer + multiplier array of Fig. 4(b)).
-std::array<std::int32_t, pack::kTileSize> steer_multiply(const Window& window,
-                                                         std::int8_t weight,
-                                                         int offset);
+// Forced inline: the convolution unit calls it four times per simulated
+// cycle, and the check's message code would otherwise keep it out of line.
+[[gnu::always_inline]] inline Products steer_multiply(const Window& window,
+                                                      std::int8_t weight,
+                                                      int offset) {
+  TSCA_CHECK(offset >= 0 && offset < pack::kTileSize, "offset=" << offset);
+  Products products{};
+  if (weight == 0) return products;  // bubble: gated multipliers
+  const std::size_t origin = static_cast<std::size_t>(
+      (offset / pack::kTileDim) * Window::kDim + offset % pack::kTileDim);
+  for (int dy = 0; dy < pack::kTileDim; ++dy)
+    for (int dx = 0; dx < pack::kTileDim; ++dx)
+      products[static_cast<std::size_t>(dy * pack::kTileDim + dx)] =
+          static_cast<std::int16_t>(
+              window.v[origin + static_cast<std::size_t>(dy * Window::kDim +
+                                                         dx)] *
+              weight);
+  return products;
+}
 
 // Adds 16 products into an accumulator tile.
-void accumulate(pack::TileAcc& acc,
-                const std::array<std::int32_t, pack::kTileSize>& products);
+inline void accumulate(pack::TileAcc& acc, const Products& products) {
+  for (std::size_t i = 0; i < acc.v.size(); ++i) acc.v[i] += products[i];
+}
 
 // Requantizes an accumulator tile into an int8 output tile (rounded shift,
 // optional ReLU, saturation to ±127) — the write-to-memory unit's datapath.

@@ -2,22 +2,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "core/poolgen.hpp"
 #include "pack/lane_stream.hpp"
 #include "quant/sm8.hpp"
 
 namespace tsca::core {
-
-namespace {
-
-constexpr auto kRelaxed = std::memory_order_relaxed;
-
-void bump(std::atomic<std::int64_t>& counter, std::int64_t n = 1) {
-  counter.fetch_add(n, kRelaxed);
-}
-
-}  // namespace
 
 int lane_channel_count(int channels, int lane, int lanes) {
   TSCA_CHECK(channels >= 0 && lane >= 0 && lane < lanes);
@@ -31,7 +22,8 @@ int lane_channel_count(int channels, int lane, int lanes) {
 hls::Kernel controller_kernel(ControllerCtx ctx) {
   hls::Domain& d = *ctx.shared.domain;
   const ArchConfig& cfg = *ctx.shared.cfg;
-  Counters& ctr = *ctx.shared.counters;
+  KernelCounters counters(*ctx.shared.counters);
+  CounterSnapshot& ctr = counters.counts;
   for (;;) {
     const Instruction instr = co_await ctx.host_q->pop();
     co_await hls::clk(d);
@@ -63,7 +55,7 @@ hls::Kernel controller_kernel(ControllerCtx ctx) {
     }
 
     if (instr.op == Opcode::kConv) {
-      bump(ctr.conv_instrs);
+      ++ctr.conv_instrs;
       const ConvInstr& c = instr.conv;
       for (int g = 0; g < cfg.group; ++g) {
         AccCtrl a;
@@ -91,7 +83,7 @@ hls::Kernel controller_kernel(ControllerCtx ctx) {
         co_await hls::clk(d);
       }
     } else {
-      bump(instr.op == Opcode::kPad ? ctr.pad_instrs : ctr.pool_instrs);
+      ++(instr.op == Opcode::kPad ? ctr.pad_instrs : ctr.pool_instrs);
       const PadPoolInstr& p = instr.pp;
       for (int lane = 0; lane < cfg.lanes; ++lane) {
         WriteCtrl w;
@@ -109,31 +101,13 @@ hls::Kernel controller_kernel(ControllerCtx ctx) {
 // Data-staging, memory half: streams packed weights and IFM tile windows
 // through the bank read port.
 // ---------------------------------------------------------------------------
-namespace {
-
-// Lazy byte cursor over consecutive bank words.
-struct BankCursor {
-  sim::SramBank& bank;
-  int addr;
-  sim::Word current{};
-  int index = sim::kWordBytes;
-
-  std::uint8_t next() {
-    if (index == sim::kWordBytes) {
-      current = bank.read_word(addr++);
-      index = 0;
-    }
-    return current.b[static_cast<std::size_t>(index++)];
-  }
-};
-
-}  // namespace
-
 hls::Kernel fetch_kernel(FetchCtx ctx) {
   hls::Domain& d = *ctx.shared.domain;
   const ArchConfig& cfg = *ctx.shared.cfg;
-  Counters& ctr = *ctx.shared.counters;
+  KernelCounters counters(*ctx.shared.counters);
+  CounterSnapshot& ctr = counters.counts;
   sim::SramBank& bank = *ctx.bank;
+  std::vector<std::vector<PoolStep>> pool_steps;  // [oty * ofm_tiles_x + otx]
 
   for (;;) {
     const FetchCmd cmd = co_await ctx.cmd_in->pop();
@@ -155,15 +129,14 @@ hls::Kernel fetch_kernel(FetchCtx ctx) {
       const int wtiles_x = c.wtiles_x();
       const int wtiles = c.wtiles_y() * wtiles_x;
 
-      // Parse this lane's packed stream (offline-packed, §III-B); reading is
-      // functional here, the port cost is charged below.
-      auto stream = std::make_shared<pack::LaneStream>();
-      if (my_channels > 0) {
-        BankCursor cursor{bank, c.weight_base};
-        *stream = pack::parse_lane_stream_from(
-            [&cursor] { return cursor.next(); }, my_channels, wtiles,
-            c.active_filters, c.ternary_weights);
-      }
+      // Parse this lane's packed stream (offline-packed, §III-B) straight
+      // from the bank's octets into recycled storage; reading is functional
+      // here, the port cost is charged below.
+      const std::shared_ptr<pack::LaneStream> stream = ctx.streams->acquire();
+      pack::parse_lane_stream_into(
+          my_channels > 0 ? bank.bytes_from(c.weight_base)
+                          : std::span<const std::uint8_t>{},
+          my_channels, wtiles, c.active_filters, c.ternary_weights, *stream);
 
       // Scratchpad preload: the DMA'd packed stream is staged into the
       // weight scratchpad once per instruction.
@@ -172,7 +145,7 @@ hls::Kernel fetch_kernel(FetchCtx ctx) {
                                  cfg.weight_scratch_words);
       for (std::int64_t w = 0; w < preload_words; ++w) {
         co_await bank.read_port().grant();
-        bump(ctr.weight_word_reads);
+        ++ctr.weight_word_reads;
         co_await hls::clk(d);
       }
       const std::int64_t scratch_bytes =
@@ -217,9 +190,9 @@ hls::Kernel fetch_kernel(FetchCtx ctx) {
                   tile = bank.read_tile(
                       c.ifm_base +
                       (ci * c.ifm_tiles_y + ity) * c.ifm_tiles_x + itx);
-                  bump(ctr.ifm_tile_reads);
+                  ++ctr.ifm_tile_reads;
                 }
-                bundle.window.tiles[static_cast<std::size_t>(t)] = tile;
+                bundle.window.set_tile(t, tile);
                 co_await hls::clk(d);
               }
 
@@ -234,12 +207,12 @@ hls::Kernel fetch_kernel(FetchCtx ctx) {
                   (spill_bytes + sim::kWordBytes - 1) / sim::kWordBytes;
               for (std::int64_t w = 0; w < spill_words; ++w) {
                 co_await bank.read_port().grant();
-                bump(ctr.weight_word_reads);
-                bump(ctr.weight_spill_reads);
+                ++ctr.weight_word_reads;
+                ++ctr.weight_spill_reads;
                 co_await hls::clk(d);
               }
 
-              co_await ctx.bundle_out->push(bundle);
+              co_await ctx.bundle_out->push(std::move(bundle));
             }
           }
           if (total_steps == 0) {
@@ -252,7 +225,7 @@ hls::Kernel fetch_kernel(FetchCtx ctx) {
           }
           if (ctx.position_barrier != nullptr)
             co_await ctx.position_barrier->arrive_and_wait();
-          if (ctx.lane == 0) bump(ctr.positions);
+          if (ctx.lane == 0) ++ctr.positions;
         }
       }
     } else {
@@ -261,15 +234,21 @@ hls::Kernel fetch_kernel(FetchCtx ctx) {
       const PadPoolInstr& p = cmd.instr.pp;
       const int my_channels =
           lane_channel_count(p.channels, ctx.lane, cfg.lanes);
+      // An output tile's micro-ops are the same in every channel: build
+      // them once per instruction.
+      pool_steps.clear();
+      if (my_channels > 0)
+        for (int oty = 0; oty < p.ofm_tiles_y; ++oty)
+          for (int otx = 0; otx < p.ofm_tiles_x; ++otx)
+            pool_steps.push_back(make_pool_steps(p, oty, otx));
       pack::Tile held{};  // the unit's input register (mirrored here)
       for (int ci = 0; ci < my_channels; ++ci) {
         for (int oty = 0; oty < p.ofm_tiles_y; ++oty) {
           for (int otx = 0; otx < p.ofm_tiles_x; ++otx) {
             const int out_addr =
                 p.ofm_base + (ci * p.ofm_tiles_y + oty) * p.ofm_tiles_x + otx;
-            const std::vector<PoolStep> steps =
-                make_pool_steps(p, oty, otx);
-            for (const PoolStep& st : steps) {
+            for (const PoolStep& st : pool_steps[static_cast<std::size_t>(
+                     oty * p.ofm_tiles_x + otx)]) {
               PoolCmd pc;
               pc.op = st.op;
               pc.first = st.first;
@@ -283,7 +262,7 @@ hls::Kernel fetch_kernel(FetchCtx ctx) {
                       p.ifm_base +
                       (ci * p.ifm_tiles_y + st.in_ty) * p.ifm_tiles_x +
                       st.in_tx);
-                  bump(ctr.ifm_tile_reads);
+                  ++ctr.ifm_tile_reads;
                 } else {
                   held = pack::Tile{};
                 }
@@ -304,7 +283,8 @@ hls::Kernel fetch_kernel(FetchCtx ctx) {
 // ---------------------------------------------------------------------------
 hls::Kernel inject_kernel(InjectCtx ctx) {
   hls::Domain& d = *ctx.shared.domain;
-  Counters& ctr = *ctx.shared.counters;
+  KernelCounters counters(*ctx.shared.counters);
+  CounterSnapshot& ctr = counters.counts;
   for (;;) {
     const WindowBundle bundle = co_await ctx.bundle_in->pop();
     if (bundle.halt) {
@@ -316,8 +296,8 @@ hls::Kernel inject_kernel(InjectCtx ctx) {
     if (bundle.empty_marker) {
       ConvCmd cmd;
       cmd.end_tile = true;
-      bump(ctr.weight_cmds);
-      bump(ctr.weight_bubbles, bundle.active);
+      ++ctr.weight_cmds;
+      ctr.weight_bubbles += bundle.active;
       co_await ctx.conv_out->push(cmd);
       co_await hls::clk(d);
       continue;
@@ -343,8 +323,8 @@ hls::Kernel inject_kernel(InjectCtx ctx) {
         }
       }
       cmd.end_tile = bundle.end_tile && k == n - 1;
-      bump(ctr.weight_cmds);
-      bump(ctr.weight_bubbles, bubbles);
+      ++ctr.weight_cmds;
+      ctr.weight_bubbles += bubbles;
       co_await ctx.conv_out->push(cmd);
       co_await hls::clk(d);
     }
@@ -357,7 +337,8 @@ hls::Kernel inject_kernel(InjectCtx ctx) {
 hls::Kernel conv_kernel(ConvCtx ctx) {
   hls::Domain& d = *ctx.shared.domain;
   const ArchConfig& cfg = *ctx.shared.cfg;
-  Counters& ctr = *ctx.shared.counters;
+  KernelCounters counters(*ctx.shared.counters);
+  CounterSnapshot& ctr = counters.counts;
   Window window{};
   for (;;) {
     const ConvCmd cmd = co_await ctx.cmd_in->pop();
@@ -372,8 +353,8 @@ hls::Kernel conv_kernel(ConvCtx ctx) {
       if (cmd.w[static_cast<std::size_t>(g)] != 0) ++performed;
       co_await ctx.product_out[static_cast<std::size_t>(g)]->push(msg);
     }
-    bump(ctr.macs_performed, static_cast<std::int64_t>(performed) *
-                                 pack::kTileSize);
+    ctr.macs_performed +=
+        static_cast<std::int64_t>(performed) * pack::kTileSize;
     co_await hls::clk(d);
   }
 }
@@ -421,7 +402,8 @@ hls::Kernel accum_kernel(AccumCtx ctx) {
 // ---------------------------------------------------------------------------
 hls::Kernel write_kernel(WriteCtx ctx) {
   hls::Domain& d = *ctx.shared.domain;
-  Counters& ctr = *ctx.shared.counters;
+  KernelCounters counters(*ctx.shared.counters);
+  CounterSnapshot& ctr = counters.counts;
   sim::SramBank& bank = *ctx.bank;
   for (;;) {
     const WriteCtrl ctrl = co_await ctx.ctrl_in->pop();
@@ -439,7 +421,7 @@ hls::Kernel write_kernel(WriteCtx ctx) {
               tx;
           co_await bank.write_port().grant();
           bank.write_tile(addr, tile);
-          bump(ctr.ofm_tile_writes);
+          ++ctr.ofm_tile_writes;
         }
         co_await hls::clk(d);
       }
@@ -448,7 +430,7 @@ hls::Kernel write_kernel(WriteCtx ctx) {
         const PoolOutMsg msg = co_await ctx.pool_in->pop();
         co_await bank.write_port().grant();
         bank.write_tile(msg.out_addr, msg.tile);
-        bump(ctr.ofm_tile_writes);
+        ++ctr.ofm_tile_writes;
         co_await hls::clk(d);
       }
     }
@@ -460,14 +442,15 @@ hls::Kernel write_kernel(WriteCtx ctx) {
 // ---------------------------------------------------------------------------
 hls::Kernel pool_pad_kernel(PoolPadCtx ctx) {
   hls::Domain& d = *ctx.shared.domain;
-  Counters& ctr = *ctx.shared.counters;
+  KernelCounters counters(*ctx.shared.counters);
+  CounterSnapshot& ctr = counters.counts;
   pack::Tile out_reg{};
   for (;;) {
     const PoolCmd cmd = co_await ctx.cmd_in->pop();
     if (cmd.halt) break;
     if (cmd.first) out_reg = pack::Tile{};
     apply_pool_pad(cmd.op, cmd.in_tile, out_reg);
-    bump(ctr.pool_ops);
+    ++ctr.pool_ops;
     if (cmd.last) {
       PoolOutMsg msg;
       msg.tile = out_reg;

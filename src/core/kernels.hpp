@@ -49,6 +49,7 @@ struct FetchCtx {
   SharedCtx shared;
   int lane = 0;
   sim::SramBank* bank = nullptr;
+  pack::LaneStreamPool* streams = nullptr;  // outlives the batch's bundles
   hls::Fifo<FetchCmd>* cmd_in = nullptr;
   hls::Fifo<WindowBundle>* bundle_out = nullptr;
   hls::Fifo<PoolCmd>* pool_out = nullptr;

@@ -30,7 +30,8 @@ struct FetchCmd {
 // Data-staging fetch half → inject half: one (channel, weight-tile) step —
 // the four preloaded IFM tiles plus a reference to the packed weight lists
 // of the group (shared_ptr keeps the parsed stream alive while bundles are
-// in flight across an instruction boundary).
+// in flight across an instruction boundary; the last one to go returns its
+// storage to the accelerator's pack::LaneStreamPool).
 struct WindowBundle {
   Window window{};
   std::shared_ptr<const pack::LaneStream> stream;
@@ -60,7 +61,7 @@ struct ConvCmd {
 
 // Convolution unit → accumulator g: 16 products for that filter's OFM tile.
 struct ProductMsg {
-  std::array<std::int32_t, pack::kTileSize> p{};
+  Products p{};
   bool end_tile = false;
 };
 

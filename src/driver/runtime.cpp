@@ -474,27 +474,30 @@ void Runtime::run_fused_pad_conv_batch(std::vector<pack::TiledFm>& fms,
           make_fused_conv_instr(conv, layout, g, base)));
       base += wimg.aligned_words(g);
     }
+    // Stage every weight stream once per batch (from the resident program
+    // image when this layer's owner is staged in DDR — identical transfers
+    // either way): the fused layout keeps them in their own bank region,
+    // after raw, padded and OFM, which no image of the batch writes.
+    for (int lane = 0; lane < lanes; ++lane) {
+      int wbase = layout.weight_base;
+      for (int g = 0; g < wimg.groups(); ++g) {
+        const std::vector<std::uint8_t>& bytes = wimg.bytes(g, lane);
+        if (resident && !bytes.empty()) {
+          dma_.to_bank(acc_.bank(lane), wbase,
+                       ctx.program_base + conv.stream_ddr_offset(g, lane),
+                       bytes.size());
+        } else {
+          stage_to_bank(ctx, acc_.bank(lane), wbase, bytes);
+        }
+        wbase += wimg.aligned_words(g);
+      }
+    }
     for (std::size_t img = 0; img < fms.size(); ++img) {
-      // Stage the raw input and every weight stream (from the resident
-      // program image when this layer's owner is staged in DDR — identical
-      // transfers either way), once per image as a lone fusion would.
-      for (int lane = 0; lane < lanes; ++lane) {
+      // Stage the raw input.
+      for (int lane = 0; lane < lanes; ++lane)
         stage_to_bank(ctx, acc_.bank(lane), 0,
                       bank_stripe_bytes(fms[img], lane, lanes, 0,
                                         pack::tiles_for(layout.raw.h)));
-        int wbase = layout.weight_base;
-        for (int g = 0; g < wimg.groups(); ++g) {
-          const std::vector<std::uint8_t>& bytes = wimg.bytes(g, lane);
-          if (resident && !bytes.empty()) {
-            dma_.to_bank(acc_.bank(lane), wbase,
-                         ctx.program_base + conv.stream_ddr_offset(g, lane),
-                         bytes.size());
-          } else {
-            stage_to_bank(ctx, acc_.bank(lane), wbase, bytes);
-          }
-          wbase += wimg.aligned_words(g);
-        }
-      }
       // Batch 1: PAD into the on-chip padded region.  (A separate batch: the
       // dependent CONV may only start once the pad's writes have landed,
       // which the host guarantees by polling completion — exactly what the

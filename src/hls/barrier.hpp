@@ -107,14 +107,13 @@ class CycleBarrier final : public Barrier, public Waitable {
     sched_.mark_waiting(this);
   }
 
-  bool has_waiters() const override { return !arrived_.empty(); }
-
-  void on_cycle_start() override {
+  bool on_cycle_start() override {
     if (static_cast<int>(arrived_.size()) == participants_) {
       for (std::coroutine_handle<> h : arrived_) sched_.schedule(h);
       arrived_.clear();
       ++releases_;
     }
+    return !arrived_.empty();
   }
 
   bool pending() const override {

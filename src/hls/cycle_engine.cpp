@@ -91,14 +91,14 @@ std::uint64_t CycleEngine::run(std::uint64_t max_cycles) {
       throw Error("cycle limit exceeded (" + std::to_string(max_cycles) +
                   " cycles) — runaway simulation?");
     ++cycle_;
-    ready_.insert(ready_.end(), next_.begin(), next_.end());
-    next_.clear();
+    // The run phase only appends to next_ (primitives wake waiters in the
+    // advance phase below), so ready_ is empty here.
+    ready_.swap(next_);
     // Poll only primitives with suspended waiters.  mark_waiting keeps the
     // list duplicate-free, so one linear pass suffices.
     std::size_t keep = 0;
     for (Waitable* w : waiting_) {
-      w->on_cycle_start();
-      if (w->has_waiters())
+      if (w->on_cycle_start())
         waiting_[keep++] = w;
       else
         w->in_wait_list_ = false;

@@ -24,18 +24,15 @@ namespace tsca::hls {
 
 class CycleEngine final : public Domain, public CycleScheduler {
  public:
-  CycleEngine() = default;
+  CycleEngine() : Domain(true) {}
   CycleEngine(const CycleEngine&) = delete;
   CycleEngine& operator=(const CycleEngine&) = delete;
 
   // --- Domain ---
-  bool clk_ready() override { return false; }
   void clk_wait(std::coroutine_handle<> h) override { next_.push_back(h); }
   std::uint64_t cycle() const override { return cycle_; }
-  bool is_cycle_accurate() const override { return true; }
 
   // --- CycleScheduler ---
-  std::uint64_t scheduler_cycle() const override { return cycle_; }
   void schedule(std::coroutine_handle<> h) override { ready_.push_back(h); }
   void register_waitable(Waitable* waitable) override {
     // Registration exists for symmetry/debugging; polling is driven by
@@ -90,7 +87,6 @@ class CycleEngine final : public Domain, public CycleScheduler {
   std::string trace_scope_;
   std::uint64_t trace_base_cycle_ = 0;
   std::vector<std::uint64_t> resumes_;
-  std::uint64_t cycle_ = 1;  // cycle 0 is "before time"; pushes at 1 visible at 2
   // Done/error bookkeeping updated from the kernel promises, so the per-cycle
   // loop checks completion and errors in O(1) instead of sweeping roots_.
   CompletionSink sink_;

@@ -28,11 +28,18 @@ class Domain {
 
   // clk awaiter hooks: ready==true means "advancing the clock costs nothing"
   // (thread mode).  In cycle mode clk_ready() is false and clk_wait schedules
-  // the kernel for the next cycle.
-  virtual bool clk_ready() = 0;
+  // the kernel for the next cycle.  clk_ready() is a plain read, not a
+  // virtual call: every running kernel awaits the clock once per cycle.
+  bool clk_ready() const { return !cycle_accurate_; }
   virtual void clk_wait(std::coroutine_handle<> h) = 0;
   virtual std::uint64_t cycle() const = 0;
-  virtual bool is_cycle_accurate() const = 0;
+  bool is_cycle_accurate() const { return cycle_accurate_; }
+
+ protected:
+  explicit Domain(bool cycle_accurate) : cycle_accurate_(cycle_accurate) {}
+
+ private:
+  const bool cycle_accurate_;
 };
 
 // `co_await clk(domain)` — one clock cycle in cycle mode, no-op in thread
@@ -70,12 +77,11 @@ inline PollWaitAwaiter poll_wait(Domain& domain) {
 // Thread-mode domain: time is free.
 class ThreadDomain final : public Domain {
  public:
-  bool clk_ready() override { return true; }
+  ThreadDomain() : Domain(false) {}
   void clk_wait(std::coroutine_handle<>) override {
     TSCA_CHECK(false, "clk_wait in thread domain");
   }
   std::uint64_t cycle() const override { return 0; }
-  bool is_cycle_accurate() const override { return false; }
 };
 
 // Hooks the cycle engine polls while a primitive has suspended waiters.
@@ -83,14 +89,13 @@ class Waitable {
  public:
   virtual ~Waitable() = default;
   // Called right after the clock advances; wake any waiters that can now
-  // make progress (via CycleScheduler::schedule).
-  virtual void on_cycle_start() = 0;
+  // make progress (via CycleScheduler::schedule).  Returns whether any
+  // coroutine is still suspended on this primitive: the engine stops
+  // polling a primitive once its waiters are gone.
+  virtual bool on_cycle_start() = 0;
   // True if some waiter will be able to make progress at a future cycle
   // boundary without external input — used for deadlock detection.
   virtual bool pending() const = 0;
-  // True while any coroutine is suspended on this primitive; the engine
-  // stops polling a primitive once its waiters are gone.
-  virtual bool has_waiters() const = 0;
 
  private:
   friend class CycleEngine;
@@ -111,13 +116,20 @@ class Poisonable {
 class CycleScheduler {
  public:
   virtual ~CycleScheduler() = default;
-  virtual std::uint64_t scheduler_cycle() const = 0;
+  // The current cycle.  A plain read, not a virtual call: FIFOs and SRAM
+  // ports consult it on every access.
+  std::uint64_t scheduler_cycle() const { return cycle_; }
   // Schedule a woken coroutine to resume in the current cycle's run phase.
   virtual void schedule(std::coroutine_handle<> h) = 0;
   virtual void register_waitable(Waitable* waitable) = 0;
   // A waiter just suspended on `waitable`: poll it at cycle boundaries until
   // its waiters are gone.  Idempotent per boundary interval.
   virtual void mark_waiting(Waitable* waitable) = 0;
+
+ protected:
+  // Advanced by the engine; cycle 0 is "before time", so pushes made in
+  // cycle 1 become visible in cycle 2.
+  std::uint64_t cycle_ = 1;
 };
 
 }  // namespace tsca::hls

@@ -59,16 +59,9 @@ class System : public ProgressSink {
 
   template <typename T>
   Fifo<T>& make_fifo(std::string name, int capacity) {
-    if (mode_ == Mode::kCycle) {
-      auto fifo = std::make_shared<CycleFifo<T>>(std::move(name), capacity,
-                                                 *engine_);
-      Fifo<T>& ref = *fifo;
-      storage_.push_back(std::move(fifo));
-      return ref;
-    }
-    auto fifo =
-        std::make_shared<ThreadFifo<T>>(std::move(name), capacity, this);
-    poisonables_.push_back(fifo.get());
+    auto fifo = std::make_shared<Fifo<T>>(std::move(name), capacity,
+                                          scheduler(), this);
+    if (mode_ == Mode::kThread) poisonables_.push_back(fifo.get());
     Fifo<T>& ref = *fifo;
     storage_.push_back(std::move(fifo));
     return ref;

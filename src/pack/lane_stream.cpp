@@ -90,24 +90,24 @@ std::vector<std::uint8_t> serialize_lane_stream(const LaneStream& stream) {
   return bytes;
 }
 
-LaneStream parse_lane_stream_from(const std::function<std::uint8_t()>& take,
-                                  int channels, int wtiles, int active,
-                                  bool ternary) {
+void parse_lane_stream_into(std::span<const std::uint8_t> bytes,
+                            int channels, int wtiles, int active,
+                            bool ternary, LaneStream& out) {
   TSCA_CHECK(channels >= 0 && wtiles >= 1 && active >= 1 &&
              active <= kMaxConcurrentFilters);
-  LaneStream stream;
-  stream.channels = channels;
-  stream.wtiles = wtiles;
-  stream.active = active;
-  stream.ternary = ternary;
-  stream.groups.resize(static_cast<std::size_t>(channels) * wtiles);
-  std::int64_t pos = 0;
+  out.channels = channels;
+  out.wtiles = wtiles;
+  out.active = active;
+  out.ternary = ternary;
+  out.groups.resize(static_cast<std::size_t>(channels) * wtiles);
+  std::size_t pos = 0;
   auto next = [&]() -> std::uint8_t {
-    ++pos;
-    return take();
+    TSCA_CHECK(pos < bytes.size(), "truncated lane stream");
+    return bytes[pos++];
   };
-  for (LaneTileGroup& group : stream.groups) {
-    group.byte_begin = pos;
+  for (LaneTileGroup& group : out.groups) {
+    group.byte_begin = static_cast<std::int64_t>(pos);
+    for (auto& list : group.lists) list.clear();
     for (int g = 0; g < active; ++g) {
       const int count = next();
       TSCA_CHECK(count <= kTileSize, "corrupt lane-stream count");
@@ -132,22 +132,41 @@ LaneStream parse_lane_stream_from(const std::function<std::uint8_t()>& take,
         list.push_back(entry);
       }
     }
-    group.byte_end = pos;
+    group.byte_end = static_cast<std::int64_t>(pos);
   }
-  stream.total_bytes = pos;
-  return stream;
+  out.total_bytes = static_cast<std::int64_t>(pos);
 }
 
 LaneStream parse_lane_stream(const std::vector<std::uint8_t>& bytes,
                              int channels, int wtiles, int active,
                              bool ternary) {
-  std::size_t pos = 0;
-  return parse_lane_stream_from(
-      [&bytes, &pos]() -> std::uint8_t {
-        TSCA_CHECK(pos < bytes.size(), "truncated lane stream");
-        return bytes[pos++];
-      },
-      channels, wtiles, active, ternary);
+  LaneStream stream;
+  parse_lane_stream_into(bytes, channels, wtiles, active, ternary, stream);
+  return stream;
+}
+
+std::shared_ptr<LaneStream> LaneStreamPool::acquire() {
+  std::unique_ptr<LaneStream> stream;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!free_.empty()) {
+      stream = std::move(free_.back());
+      free_.pop_back();
+    }
+  }
+  if (stream == nullptr) stream = std::make_unique<LaneStream>();
+  return std::shared_ptr<LaneStream>(
+      stream.release(), [this](LaneStream* s) { release(s); });
+}
+
+void LaneStreamPool::release(LaneStream* stream) noexcept {
+  std::unique_ptr<LaneStream> owned(stream);
+  try {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(std::move(owned));
+  } catch (...) {
+    // Out of memory for the free list: the stream is simply freed.
+  }
 }
 
 }  // namespace tsca::pack

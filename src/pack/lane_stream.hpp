@@ -17,7 +17,9 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "pack/weight_pack.hpp"
@@ -86,10 +88,31 @@ LaneStream parse_lane_stream(const std::vector<std::uint8_t>& bytes,
                              int channels, int wtiles, int active,
                              bool ternary = false);
 
-// Streaming parse from an arbitrary byte source (e.g. lazily read bank
-// words); `take` is called once per consumed byte.
-LaneStream parse_lane_stream_from(const std::function<std::uint8_t()>& take,
-                                  int channels, int wtiles, int active,
-                                  bool ternary = false);
+// The same parse from the front of `bytes` (e.g. a bank's contents from the
+// stream's base word on) into `out`, reusing the storage `out` holds from an
+// earlier parse: its group table and weight lists only grow.  Bytes past the
+// stream's end are not read; reading past the end of `bytes` throws.
+void parse_lane_stream_into(std::span<const std::uint8_t> bytes,
+                            int channels, int wtiles, int active,
+                            bool ternary, LaneStream& out);
+
+// Recycles parsed streams.  acquire() hands out a stream whose storage an
+// earlier parse left behind; the stream comes back when its last shared_ptr
+// is dropped, on whichever thread drops it.  The pool must outlive every
+// stream it hands out.
+class LaneStreamPool {
+ public:
+  LaneStreamPool() = default;
+  LaneStreamPool(const LaneStreamPool&) = delete;
+  LaneStreamPool& operator=(const LaneStreamPool&) = delete;
+
+  std::shared_ptr<LaneStream> acquire();
+
+ private:
+  void release(LaneStream* stream) noexcept;
+
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<LaneStream>> free_;
+};
 
 }  // namespace tsca::pack

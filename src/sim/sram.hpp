@@ -17,6 +17,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@ struct Word {
   std::array<std::uint8_t, kWordBytes> b{};
   bool operator==(const Word&) const = default;
 };
+static_assert(sizeof(Word) == kWordBytes, "bank words are packed octets");
 
 // Tile (decoded int8 values) ↔ word (sm8 octets).
 Word word_from_tile(const pack::Tile& tile);
@@ -58,14 +60,14 @@ class SramPort final : public hls::Waitable {
   GrantAwaiter grant() { return GrantAwaiter{*this}; }
 
   // --- Waitable ---
-  void on_cycle_start() override {
+  bool on_cycle_start() override {
     if (!waiters_.empty() && try_grant()) {
       sched_->schedule(waiters_.front());
       waiters_.erase(waiters_.begin());
     }
+    return !waiters_.empty();
   }
   bool pending() const override { return !waiters_.empty(); }
-  bool has_waiters() const override { return !waiters_.empty(); }
 
   std::uint64_t grants() const { return grants_; }
   std::uint64_t stall_cycles() const { return stalls_; }
@@ -139,6 +141,15 @@ class SramBank {
   pack::Tile read_tile(int addr) const { return tile_from_word(read_word(addr)); }
   void write_tile(int addr, const pack::Tile& tile) {
     write_word(addr, word_from_tile(tile));
+  }
+
+  // The bank's octets from word `addr` to its end, for parsing a stream in
+  // place (the weight fetch); reads past the end are the caller's to check.
+  std::span<const std::uint8_t> bytes_from(int addr) const {
+    check_addr(addr);
+    return {reinterpret_cast<const std::uint8_t*>(storage_.data()) +
+                static_cast<std::size_t>(addr) * kWordBytes,
+            static_cast<std::size_t>(size_words() - addr) * kWordBytes};
   }
 
   // Bulk host/DMA access (no port accounting; DMA cost is modelled by the

@@ -297,5 +297,57 @@ TEST(BatchNetworkRun, EveryConvRecordOfACycleBatchIsTimed) {
   EXPECT_EQ(convs, 13);
 }
 
+// A fused PAD+CONV keeps its weight streams in a bank region of their own
+// that no image writes, so a kCycle batch stages them once: three images
+// move three raw inputs and one set of weights, and the batch's cycles,
+// counters and outputs equal those of three batches of one.
+TEST(BatchNetworkRun, FusedConvStagesWeightsOncePerBatch) {
+  const Vgg8 vgg;
+  const core::ArchConfig cfg = core::ArchConfig::k256_opt();
+  const driver::NetworkProgram program =
+      driver::NetworkProgram::compile(vgg.net, vgg.model, cfg);
+  core::Accelerator acc(cfg);
+  sim::Dram dram(32u << 20);
+  sim::DmaEngine dma(dram);
+  driver::Runtime runtime(acc, dram, dma, {.mode = driver::ExecMode::kCycle});
+  Rng rng(29);
+  const std::vector<nn::FeatureMapI8> images{
+      vgg.input, random_fm(vgg.net.input_shape(), rng),
+      random_fm(vgg.net.input_shape(), rng)};
+  const driver::BatchNetworkRun batch =
+      runtime.run_network_batch(program, images);
+  std::vector<driver::BatchNetworkRun> singles;
+  for (const nn::FeatureMapI8& image : images)
+    singles.push_back(runtime.run_network_batch(program, {image}));
+
+  auto conv_bytes_to_fpga = [](const driver::BatchNetworkRun& run) {
+    std::uint64_t bytes = 0;
+    for (const driver::LayerRun& lr : run.layers)
+      if (lr.kind == nn::LayerKind::kConv && lr.on_accelerator)
+        bytes += lr.dma.bytes_to_fpga;
+    return bytes;
+  };
+  // 28,160 B of raw inputs and 176,054 B of weights per pass.
+  EXPECT_EQ(conv_bytes_to_fpga(singles[0]), 28'160u + 176'054u);
+  EXPECT_EQ(conv_bytes_to_fpga(batch), 3u * 28'160u + 176'054u);
+
+  ASSERT_EQ(batch.requests.size(), images.size());
+  for (std::size_t i = 0; i < batch.layers.size(); ++i) {
+    const driver::LayerRun& got = batch.layers[i];
+    SCOPED_TRACE(got.name);
+    std::uint64_t cycles = 0;
+    core::CounterSnapshot counters;
+    for (const driver::BatchNetworkRun& single : singles) {
+      cycles += single.layers[i].cycles;
+      counters += single.layers[i].counters;
+    }
+    EXPECT_EQ(got.cycles, cycles);
+    EXPECT_EQ(got.counters, counters);
+  }
+  for (std::size_t img = 0; img < images.size(); ++img)
+    EXPECT_EQ(batch.requests[img].logits, singles[img].requests[0].logits)
+        << "image " << img;
+}
+
 }  // namespace
 }  // namespace tsca

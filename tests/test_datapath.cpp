@@ -9,18 +9,19 @@ namespace {
 
 Window random_window(Rng& rng) {
   Window w;
-  for (auto& tile : w.tiles)
-    for (auto& v : tile.v) v = static_cast<std::int8_t>(rng.next_int(-90, 90));
+  for (auto& v : w.v) v = static_cast<std::int8_t>(rng.next_int(-90, 90));
   return w;
 }
 
 TEST(WindowTest, AtIndexesQuadrantsRowMajor) {
   Window w;
   // Tag each quadrant with a distinct base so misrouting is obvious.
-  for (int q = 0; q < 4; ++q)
+  for (int q = 0; q < 4; ++q) {
+    pack::Tile tile;
     for (int i = 0; i < pack::kTileSize; ++i)
-      w.tiles[static_cast<std::size_t>(q)].v[static_cast<std::size_t>(i)] =
-          static_cast<std::int8_t>(q * 20 + i);
+      tile.v[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(q * 20 + i);
+    w.set_tile(q, tile);
+  }
   EXPECT_EQ(w.at(0, 0), 0);
   EXPECT_EQ(w.at(0, 4), 20);   // top-right quadrant, value 0
   EXPECT_EQ(w.at(4, 0), 40);   // bottom-left
@@ -67,9 +68,9 @@ TEST(SteerMultiply, RejectsOutOfRangeOffset) {
 TEST(Accumulate, AddsElementwise) {
   pack::TileAcc acc;
   acc.v.fill(100);
-  std::array<std::int32_t, pack::kTileSize> products{};
+  Products products{};
   for (int i = 0; i < pack::kTileSize; ++i)
-    products[static_cast<std::size_t>(i)] = i - 8;
+    products[static_cast<std::size_t>(i)] = static_cast<std::int16_t>(i - 8);
   accumulate(acc, products);
   for (int i = 0; i < pack::kTileSize; ++i)
     EXPECT_EQ(acc.v[static_cast<std::size_t>(i)], 100 + i - 8);

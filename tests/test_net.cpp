@@ -329,9 +329,10 @@ TEST(NetServe, WireCancelRemovesQueuedRequest) {
   Rng rng(606);
   serve::ServerOptions opts;
   opts.workers = 1;
-  opts.mode = driver::ExecMode::kCycle;  // slow head pins the worker
-  opts.batch.max_batch = 1;
-  opts.batch.max_queue_delay_us = 0;
+  // No batch can fill, so each request waits out a second of batch
+  // formation in the queue, where the wire cancel finds it.
+  opts.batch.max_batch = 4;
+  opts.batch.max_queue_delay_us = 1'000'000;
   serve::Server server(m.registry, "vgg", opts);
   serve::NetServer net(server);
   serve::NetClient client("127.0.0.1", net.port());
@@ -344,7 +345,7 @@ TEST(NetServe, WireCancelRemovesQueuedRequest) {
   std::uint64_t wire_id = 0;
   std::future<serve::Response> doomed =
       client.submit(random_fm(m.net.input_shape(), rng), {}, &wire_id);
-  // The request is queued behind the in-flight head; make sure the server
+  // The request is queued behind the dispatched head; make sure the server
   // has actually admitted it (its id is mapped once submit_with returned)
   // before cancelling.
   while (server.metrics().counter("serve.admitted").value() < 2)
@@ -454,7 +455,10 @@ TEST(NetServe, DuplicateInFlightWireIdDropsConnection) {
   Rng rng(612);
   serve::ServerOptions opts;
   opts.workers = 1;
-  opts.mode = driver::ExecMode::kCycle;  // slow: the first stays in flight
+  // The first request cannot fill a batch: it waits out a second of batch
+  // formation, so it is still in flight when its duplicate arrives.
+  opts.batch.max_batch = 4;
+  opts.batch.max_queue_delay_us = 1'000'000;
   serve::Server server(m.registry, "vgg", opts);
   serve::NetServer net(server);
 
@@ -596,10 +600,13 @@ TEST(NetServe, ConnectionsAreDistinctFairShareClients) {
   Rng rng(609);
   serve::ServerOptions opts;
   opts.workers = 1;
-  opts.mode = driver::ExecMode::kCycle;  // slow head pins the worker
   opts.queue_capacity = 2;
-  opts.batch.max_batch = 1;
-  opts.batch.max_queue_delay_us = 0;
+  // No batch can fill (max_batch is above the queue's capacity), so the
+  // worker forms each one for the whole second: the flood waits in the
+  // queue, where the newcomer's push can evict it, however fast a batch
+  // executes.
+  opts.batch.max_batch = 3;
+  opts.batch.max_queue_delay_us = 1'000'000;
   serve::Server server(m.registry, "vgg", opts);
   serve::NetServer net(server);
   serve::NetClient flooder("127.0.0.1", net.port());

@@ -476,17 +476,17 @@ TEST(ServeServer, ExpiredRequestsAreShedBeforeExecution) {
 
   serve::ServerOptions opts;
   opts.workers = 1;
-  opts.mode = driver::ExecMode::kCycle;  // slow on purpose: requests pile up
-  opts.batch.max_batch = 1;
-  opts.batch.max_queue_delay_us = 0;
+  // No batch can fill (max_batch is above the five requests), so the worker
+  // forms each one for a whole second.
+  opts.batch.max_batch = 8;
+  opts.batch.max_queue_delay_us = 1'000'000;
   serve::Server server(m.registry, "vgg", opts);
 
-  // Request 0 occupies the worker for a full cycle-accurate network pass
-  // (tens of ms); the 1ms-deadline requests submitted *while it executes*
-  // expire long before the worker frees up and must be shed, not executed.
-  // Poll the batch counter so the doomed requests are provably queued behind
-  // an in-flight execution — submitting them against an idle worker would
-  // let EDF hand one over while still live.
+  // Request 0 is dispatched first; the 1ms-deadline requests submitted after
+  // it wait out the next batch's formation second in the queue, so they
+  // expire there, however fast a batch executes, and must be shed, not
+  // executed.  Poll the batch counter so the doomed requests are provably
+  // queued behind the head.
   auto head = server.submit(random_fm(m.net.input_shape(), rng));
   while (server.metrics().counter("serve.batches").value() < 1)
     std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -531,9 +531,11 @@ TEST(ServeServer, StopCompletesEveryInFlightAndQueuedRequest) {
 
   serve::ServerOptions opts;
   opts.workers = 1;
-  opts.mode = driver::ExecMode::kCycle;  // slow: stop lands mid-execution
-  opts.batch.max_batch = 2;
-  opts.batch.max_queue_delay_us = 0;
+  opts.mode = driver::ExecMode::kCycle;  // a batch of 4 stays in flight a while
+  // The worker takes at most 4 of the 6 requests; the other 2 cannot fill a
+  // batch, so they wait out a whole second of formation in the queue.
+  opts.batch.max_batch = 4;
+  opts.batch.max_queue_delay_us = 1'000'000;
   serve::Server server(m.registry, "vgg", opts);
 
   constexpr int kRequests = 6;
@@ -749,9 +751,10 @@ TEST(ServeServer, CancelRemovesQueuedRequest) {
   Rng rng(514);
   serve::ServerOptions opts;
   opts.workers = 1;
-  opts.mode = driver::ExecMode::kCycle;  // slow head pins the worker
-  opts.batch.max_batch = 1;
-  opts.batch.max_queue_delay_us = 0;
+  // No batch can fill, so each request waits out a second of batch
+  // formation in the queue, where cancellation finds it.
+  opts.batch.max_batch = 4;
+  opts.batch.max_queue_delay_us = 1'000'000;
   serve::Server server(m.registry, "vgg", opts);
 
   std::future<serve::Response> head =
@@ -782,10 +785,13 @@ TEST(ServeServer, FairShareAdmitsSecondClientUnderFlood) {
   Rng rng(515);
   serve::ServerOptions opts;
   opts.workers = 1;
-  opts.mode = driver::ExecMode::kCycle;  // slow head pins the worker
   opts.queue_capacity = 4;
-  opts.batch.max_batch = 1;
-  opts.batch.max_queue_delay_us = 0;
+  // No batch can fill (max_batch is above the queue's capacity), so the
+  // worker forms each one for the whole second: the flood waits in the
+  // queue, where the newcomer's pushes can evict it, however fast a batch
+  // executes.
+  opts.batch.max_batch = 5;
+  opts.batch.max_queue_delay_us = 1'000'000;
   serve::Server server(m.registry, "vgg", opts);
 
   serve::SubmitOptions flooder;
